@@ -8,20 +8,43 @@
 //! Applying the preconditioner (`M z = r`) is two triangular solves, which
 //! the solvers run through the recursive-block SpTRSV of [`crate::sptrsv`].
 
-use crate::sptrsv::{
-    sptrsv_lower, sptrsv_lower_recursive_into, sptrsv_upper, sptrsv_upper_recursive_into,
-    RecursiveTrsvStats, DEFAULT_TRSV_LEAF,
-};
+use crate::sptrsv::{sptrsv_lower, sptrsv_upper, RecursiveTrsvStats, TrsvPlan, DEFAULT_TRSV_LEAF};
 use mf_sparse::Csr;
 
-/// Merges the statistics of a forward + backward recursive solve pair.
-fn combine_trsv(s1: RecursiveTrsvStats, s2: RecursiveTrsvStats) -> RecursiveTrsvStats {
-    RecursiveTrsvStats {
-        leaves: s1.leaves + s2.leaves,
-        max_leaf_rows: s1.max_leaf_rows.max(s2.max_leaf_rows),
-        spmv_nnz: s1.spmv_nnz + s2.spmv_nnz,
-        trsv_nnz: s1.trsv_nnz + s2.trsv_nnz,
-        depth: s1.depth.max(s2.depth),
+/// The recursive-block SpTRSV schedules of a factor pair: forward solve
+/// then backward solve. The plan borrows the factors, so a solver builds
+/// one per solve (in its prologue) and replays it every iteration; nothing
+/// is cached on the factors themselves.
+#[derive(Clone, Debug)]
+pub struct FactorPlan<'a> {
+    lower: TrsvPlan<'a>,
+    upper: TrsvPlan<'a>,
+}
+
+impl FactorPlan<'_> {
+    /// Applies the preconditioner: `scratch` receives the intermediate `y`
+    /// of the forward solve, `z` the solution. Allocation-free.
+    pub fn apply_into(&self, r: &[f64], scratch: &mut [f64], z: &mut [f64]) {
+        self.lower.solve_into(r, scratch);
+        self.upper.solve_into(scratch, z);
+    }
+
+    /// Combined work statistics of the forward + backward pair.
+    pub fn stats(&self) -> RecursiveTrsvStats {
+        let (s1, s2) = (self.lower.stats(), self.upper.stats());
+        RecursiveTrsvStats {
+            leaves: s1.leaves + s2.leaves,
+            max_leaf_rows: s1.max_leaf_rows.max(s2.max_leaf_rows),
+            spmv_nnz: s1.spmv_nnz + s2.spmv_nnz,
+            trsv_nnz: s1.trsv_nnz + s2.trsv_nnz,
+            depth: s1.depth.max(s2.depth),
+        }
+    }
+
+    /// Combined dependency-level count of both factors (what the
+    /// level-scheduled alternative of the cost model is priced by).
+    pub fn levels(&self) -> usize {
+        self.lower.levels() + self.upper.levels()
     }
 }
 
@@ -418,8 +441,9 @@ impl Ilu0 {
     }
 
     /// In-place [`Self::apply_recursive`]: `scratch` holds the intermediate
-    /// `y` of `L y = r`, `z` receives the solution. Allocation-free, so the
-    /// solver loops can reuse workspace buffers across iterations.
+    /// `y` of `L y = r`, `z` receives the solution. Builds the
+    /// [`FactorPlan`] and replays it once; loops that apply the same
+    /// factors repeatedly build the plan once with [`Self::plan`].
     pub fn apply_recursive_into(
         &self,
         r: &[f64],
@@ -427,9 +451,17 @@ impl Ilu0 {
         scratch: &mut [f64],
         z: &mut [f64],
     ) -> RecursiveTrsvStats {
-        let s1 = sptrsv_lower_recursive_into(&self.l, r, scratch, true, leaf);
-        let s2 = sptrsv_upper_recursive_into(&self.u, scratch, z, false, leaf);
-        combine_trsv(s1, s2)
+        let plan = self.plan(leaf);
+        plan.apply_into(r, scratch, z);
+        plan.stats()
+    }
+
+    /// The recursive-block SpTRSV schedules of `L` (unit diagonal) and `U`.
+    pub fn plan(&self, leaf: usize) -> FactorPlan<'_> {
+        FactorPlan {
+            lower: TrsvPlan::lower(&self.l, true, leaf),
+            upper: TrsvPlan::upper(&self.u, false, leaf),
+        }
     }
 
     /// Applies with the default leaf size.
@@ -511,9 +543,17 @@ impl Ic0 {
         scratch: &mut [f64],
         z: &mut [f64],
     ) -> RecursiveTrsvStats {
-        let s1 = sptrsv_lower_recursive_into(&self.l, r, scratch, false, leaf);
-        let s2 = sptrsv_upper_recursive_into(&self.lt, scratch, z, false, leaf);
-        combine_trsv(s1, s2)
+        let plan = self.plan(leaf);
+        plan.apply_into(r, scratch, z);
+        plan.stats()
+    }
+
+    /// The recursive-block SpTRSV schedules of `L` and `Lᵀ`.
+    pub fn plan(&self, leaf: usize) -> FactorPlan<'_> {
+        FactorPlan {
+            lower: TrsvPlan::lower(&self.l, false, leaf),
+            upper: TrsvPlan::upper(&self.lt, false, leaf),
+        }
     }
 
     /// Total stored nonzeros of both factor copies.

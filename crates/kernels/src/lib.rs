@@ -16,7 +16,7 @@
 //!   producing the per-column-segment `vis_flag` demands.
 //! * [`sptrsv`] — sparse triangular solves: naive, level-scheduled analysis,
 //!   and the recursive-block algorithm (paper §III-C, ref. \[41\]) used by the
-//!   preconditioned solvers.
+//!   preconditioned solvers, replayed from a row-ordered segment schedule.
 //! * [`ilu`] — ILU(0) and IC(0) factorizations for the PCG/PBiCGSTAB
 //!   variants.
 //! * [`shard`] — per-shard tile views with halo columns and the
@@ -35,8 +35,8 @@ pub mod visflag;
 pub use block_jacobi::BlockJacobi;
 pub use ilu::{
     diag_shifted, ic0, ic0_row, ilu0, ilu0_boosted, ilu0_row, initial_boost_shift, CholRowsView,
-    FactorError, FactorRow, FactorRowsView, Ic0, Ic0Rows, Ic0Scratch, Ilu0, Ilu0Rows, IluScratch,
-    MAX_FACTOR_SHIFTS,
+    FactorError, FactorPlan, FactorRow, FactorRowsView, Ic0, Ic0Rows, Ic0Scratch, Ilu0, Ilu0Rows,
+    IluScratch, MAX_FACTOR_SHIFTS,
 };
 pub use shard::{sptrsv_lower_span, sptrsv_upper_span, ShardView};
 pub use spmm::{axpy_block, col, col_mut, dot_block, spmm_mixed, xpay_block};
@@ -45,8 +45,7 @@ pub use spmv::{
     SharedTiles,
 };
 pub use sptrsv::{
-    level_schedule, sptrsv_lower, sptrsv_lower_into, sptrsv_lower_recursive,
-    sptrsv_lower_recursive_into, sptrsv_upper, sptrsv_upper_into, sptrsv_upper_recursive,
-    sptrsv_upper_recursive_into, LevelSchedule, RecursiveTrsvStats,
+    level_schedule, sptrsv_lower, sptrsv_lower_into, sptrsv_lower_recursive, sptrsv_upper,
+    sptrsv_upper_into, sptrsv_upper_recursive, LevelSchedule, RecursiveTrsvStats, TrsvPlan,
 };
 pub use visflag::{retrieve_vis_flags, VisFlag};

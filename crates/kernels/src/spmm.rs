@@ -18,11 +18,11 @@
 //!
 //! For every active column `j`, [`spmm_mixed`] performs *exactly* the
 //! floating-point operations [`crate::spmv_mixed`] performs for that
-//! column's vector, in the same order — per-row partial sums are kept in a
-//! register per column and added to `y` once, never accumulated directly
-//! across tiles. A batched solve is therefore bitwise identical to the `k`
-//! independent solves it replaces (pinned by proptests here and by the
-//! blocked-core parity tests in `mf-solver`).
+//! column's vector, in the same order: one demand pass over the tiles,
+//! then for each row and active column the same segment replay. A batched
+//! solve is therefore bitwise identical to the `k` independent solves it
+//! replaces (pinned by proptests here and by the blocked-core parity tests
+//! in `mf-solver`).
 
 use crate::blas1;
 use crate::spmv::{MixedSpmvStats, SharedTiles};
@@ -53,7 +53,7 @@ pub fn col_mut(v: &mut [f64], n: usize, j: usize) -> &mut [f64] {
 ///   per-column dynamic strategy would break the shared-tile-pass
 ///   amortization this kernel exists for).
 ///
-/// Returns the stats of **one** matrix pass (tiles/nnz are counted once,
+/// Returns the stats of **one** demand pass (tiles/nnz are counted once,
 /// not once per column): the traffic actually paid, which is what the
 /// coster charges — the amortization is the point.
 pub fn spmm_mixed(
@@ -74,51 +74,18 @@ pub fn spmm_mixed(
         m.tile_cols
     );
     let (n_in, n_out) = (m.ncols, m.nrows);
-    for (j, &live) in active.iter().enumerate() {
-        if live {
-            col_mut(y, n_out, j).fill(0.0);
-        }
-    }
-
-    let mut stats = MixedSpmvStats::default();
-    for i in 0..m.tile_count() {
-        let v_f = vis_flags[m.tile_colidx[i] as usize];
-        let tile_nnz = (m.tile_nnz[i + 1] - m.tile_nnz[i]) as usize;
-        if v_f == VisFlag::Bypass {
-            stats.tiles_bypassed += 1;
-            stats.nnz_bypassed += tile_nnz;
-            continue;
-        }
-        let (a_lo, a_hi) = (shared.tile_off[i], shared.tile_off[i + 1]);
-        if let Some(demanded) = v_f.demanded() {
-            if demanded < shared.current_prec[i] {
-                shared.current_prec[i] = demanded;
-                demanded.quantize_slice(&mut shared.arena[a_lo..a_hi]);
-                stats.conversions += 1;
-            }
-        }
-        let exec_prec = shared.current_prec[i];
-        stats.tiles_computed += 1;
-        stats.nnz_by_prec[exec_prec.tile_code() as usize] += tile_nnz;
-
-        let base_row = m.tile_rowidx[i] as usize * m.tile_size;
-        let base_col = m.tile_colidx[i] as usize * m.tile_size;
-        let nnz_base = m.tile_nnz[i] as usize;
-        let vals = &shared.arena[a_lo..a_hi];
-        for ri in m.nonrow[i] as usize..m.nonrow[i + 1] as usize {
-            let r = base_row + m.row_index[ri] as usize;
-            let (e_lo, e_hi) = (m.csr_rowptr[ri] as usize, m.csr_rowptr[ri + 1] as usize);
-            for (j, _) in active.iter().enumerate().filter(|(_, a)| **a) {
-                // Per-column register accumulator, added to y once — the
-                // exact op sequence of the single-vector kernel, so the
-                // column result is bitwise spmv_mixed's.
-                let xj = col(x, n_in, j);
-                let mut sum = 0.0;
-                for e in e_lo..e_hi {
-                    sum += vals[e - nnz_base] * xj[base_col + m.csr_colidx[e] as usize];
-                }
-                y[j * n_out + r] += sum;
-            }
+    let (stats, bypass) = shared.demand_pass(m, vis_flags);
+    for r in 0..n_out {
+        for (j, _) in active.iter().enumerate().filter(|(_, a)| **a) {
+            // The single-vector kernel's row replay for column j: the
+            // exact op sequence of spmv_mixed, so the column result is
+            // bitwise its.
+            let xj = col(x, n_in, j);
+            y[j * n_out + r] = if bypass {
+                shared.row_product::<true>(r, xj, vis_flags, m.tile_size)
+            } else {
+                shared.row_product::<false>(r, xj, vis_flags, m.tile_size)
+            };
         }
     }
     stats

@@ -8,6 +8,13 @@
 //! * [`spmv_mixed`] — paper **Algorithm 5**: the tiled kernel driven by the
 //!   per-column `vis_flag` demands, with on-chip (shared-memory copy)
 //!   precision lowering and tile bypass.
+//!
+//! The mixed kernels run in two halves: a per-tile *demand pass* (bypass,
+//! one-way lowering, [`MixedSpmvStats`]) and a *row replay* over the
+//! row-ordered on-chip arena of [`SharedTiles`]. The replay keeps the
+//! tile-order kernel's floating-point order — per row, one fold from `0.0`
+//! per tile in tile-column order, summed from `0.0` — so results are
+//! bitwise those of walking the tiles, without the per-tile indirection.
 
 use crate::blas1::DETERMINISTIC_CHUNK;
 use crate::visflag::VisFlag;
@@ -91,19 +98,27 @@ pub fn spmv_tiled_par(m: &TiledMatrix, x: &[f64], y: &mut [f64]) {
 /// the paper describes ("our precision conversion occurs only once in
 /// on-chip memory; thereafter, the low-precision values ... can be reused").
 ///
-/// Values live in one flat arena (tile `i` at
-/// `tile_off[i]..tile_off[i + 1]`, mirroring `TiledMatrix::tile_nnz`), so a
-/// span of whole tile rows owns a contiguous arena range — which is what
-/// lets [`spmv_mixed_par`] hand disjoint `&mut` stripes to worker threads
-/// with `split_at_mut`, no locks.
+/// # Layout
+///
+/// The arena is laid out in **row order**. Row `r` is a run of segments
+/// (`row_seg[r]..row_seg[r + 1]`); a segment is one tile's share of the
+/// row, the segments of a row follow tile-column order, and segment `s`
+/// holds `arena[seg_ptr[s]..seg_ptr[s + 1]]` with the absolute column of
+/// each value in `cols`, in the tile's own storage order. A segment's tile
+/// column is derived from its first column (a tile's rows without entries
+/// get no segment), so bypass needs no per-segment tile index. A stripe of
+/// whole tile rows is a contiguous row range and therefore a contiguous
+/// arena range.
 #[derive(Clone, Debug)]
 pub struct SharedTiles {
-    /// Flat arena of decoded values; tile `i` occupies
-    /// `arena[tile_off[i]..tile_off[i + 1]]`.
+    /// Decoded values in row order (see the layout above).
     pub arena: Vec<f64>,
-    /// Per-tile arena offsets (prefix sums; `tile_off[tile_count]` is the
-    /// total nonzero count).
-    pub tile_off: Vec<usize>,
+    /// Absolute column of each arena value.
+    cols: Vec<u32>,
+    /// Arena offsets per segment (`segments + 1` entries).
+    seg_ptr: Vec<u32>,
+    /// Segment offsets per matrix row (`nrows + 1` entries).
+    row_seg: Vec<u32>,
     /// Current (possibly lowered) precision per tile.
     pub current_prec: Vec<Precision>,
     /// Initial precision per tile (from `TilePrec`).
@@ -111,17 +126,76 @@ pub struct SharedTiles {
 }
 
 impl SharedTiles {
-    /// Loads (decodes) every tile — the one-time off-chip → on-chip copy.
+    /// Loads (decodes) every tile — the one-time off-chip → on-chip copy —
+    /// into the row-ordered arena.
+    ///
+    /// # Panics
+    /// If the tiles are not sorted by `(tile row, tile column)` with each
+    /// tile's rows listed in ascending order, as `TiledMatrix` builds them.
     pub fn load(m: &TiledMatrix) -> SharedTiles {
-        let t = m.tile_count();
-        let tile_off: Vec<usize> = m.tile_nnz.iter().map(|&o| o as usize).collect();
-        let mut arena = vec![0.0; tile_off[t]];
-        for i in 0..t {
-            m.decode_tile_into(i, &mut arena[tile_off[i]..tile_off[i + 1]]);
+        let (n, ts, nnz) = (m.nrows, m.tile_size, m.nnz());
+        assert!(
+            nnz <= u32::MAX as usize && m.ncols <= u32::MAX as usize,
+            "matrix too large for 32-bit arena offsets"
+        );
+        let mut arena = Vec::with_capacity(nnz);
+        let mut cols = Vec::with_capacity(nnz);
+        let mut seg_ptr = Vec::with_capacity(m.nonempty_row_count() + 1);
+        let mut row_seg = Vec::with_capacity(n + 1);
+        seg_ptr.push(0u32);
+        row_seg.push(0u32);
+        let (mut buf, mut cursor) = (Vec::new(), Vec::new());
+        let mut t0 = 0;
+        for tr in 0..m.tile_rows {
+            // The tile row's tiles, decoded side by side.
+            let mut t1 = t0;
+            while t1 < m.tile_count() && m.tile_rowidx[t1] as usize == tr {
+                t1 += 1;
+            }
+            let base = m.tile_nnz[t0] as usize;
+            buf.resize(m.tile_nnz[t1] as usize - base, 0.0);
+            for i in t0..t1 {
+                let (lo, hi) = (m.tile_nnz[i] as usize, m.tile_nnz[i + 1] as usize);
+                m.decode_tile_into(i, &mut buf[lo - base..hi - base]);
+            }
+            // Row by row, each tile contributes its next listed row when
+            // that is this row: one segment per tile, in tile-column order.
+            cursor.clear();
+            cursor.extend((t0..t1).map(|i| m.nonrow[i] as usize));
+            for lr in 0..ts.min(n - tr * ts) {
+                for (i, ri) in (t0..t1).zip(cursor.iter_mut()) {
+                    if *ri == m.nonrow[i + 1] as usize || m.row_index[*ri] as usize != lr {
+                        continue;
+                    }
+                    let base_col = m.tile_colidx[i] as usize * ts;
+                    let (k0, k1) = (m.csr_rowptr[*ri] as usize, m.csr_rowptr[*ri + 1] as usize);
+                    arena.extend(buf[k0 - base..k1 - base].iter().copied());
+                    cols.extend(
+                        m.csr_colidx[k0..k1]
+                            .iter()
+                            .map(|&c| (base_col + c as usize) as u32),
+                    );
+                    if k1 > k0 {
+                        seg_ptr.push(arena.len() as u32);
+                    }
+                    *ri += 1;
+                }
+                row_seg.push((seg_ptr.len() - 1) as u32);
+            }
+            assert!(
+                (t0..t1)
+                    .zip(&cursor)
+                    .all(|(i, &ri)| ri == m.nonrow[i + 1] as usize),
+                "tile rows must be listed in ascending order"
+            );
+            t0 = t1;
         }
+        assert_eq!(t0, m.tile_count(), "tiles must be sorted by tile row");
         SharedTiles {
             arena,
-            tile_off,
+            cols,
+            seg_ptr,
+            row_seg,
             current_prec: m.tile_prec.clone(),
             initial_prec: m.tile_prec.clone(),
         }
@@ -133,26 +207,73 @@ impl SharedTiles {
     pub fn precision_only(initial_prec: &[Precision]) -> SharedTiles {
         SharedTiles {
             arena: Vec::new(),
-            tile_off: vec![0; initial_prec.len() + 1],
+            cols: Vec::new(),
+            seg_ptr: vec![0],
+            row_seg: vec![0],
             current_prec: initial_prec.to_vec(),
             initial_prec: initial_prec.to_vec(),
         }
     }
 
-    /// Decoded values of tile `i` at its current precision.
-    #[inline]
-    pub fn tile_values(&self, i: usize) -> &[f64] {
-        &self.arena[self.tile_off[i]..self.tile_off[i + 1]]
+    /// Calls `f(tile_offset, arena_offset, len)` for each non-empty row of
+    /// tile `i`: the tile's values `tile_offset..tile_offset + len` (tile
+    /// storage order) live at `arena_offset..arena_offset + len`.
+    fn for_each_tile_run(&self, m: &TiledMatrix, i: usize, mut f: impl FnMut(usize, usize, usize)) {
+        let ts = m.tile_size;
+        let tc = m.tile_colidx[i] as usize;
+        let base_row = m.tile_rowidx[i] as usize * ts;
+        let nnz_base = m.tile_nnz[i] as usize;
+        for ri in m.nonrow[i] as usize..m.nonrow[i + 1] as usize {
+            let (k0, k1) = (m.csr_rowptr[ri] as usize, m.csr_rowptr[ri + 1] as usize);
+            if k0 == k1 {
+                continue;
+            }
+            let r = base_row + m.row_index[ri] as usize;
+            let s = (self.row_seg[r] as usize..self.row_seg[r + 1] as usize)
+                .find(|&s| self.cols[self.seg_ptr[s] as usize] as usize / ts == tc)
+                .expect("every non-empty tile row has a segment");
+            f(k0 - nnz_base, self.seg_ptr[s] as usize, k1 - k0);
+        }
+    }
+
+    /// Gathers tile `i`'s current on-chip values into `out`, in the tile's
+    /// storage order.
+    fn gather_tile(&self, m: &TiledMatrix, i: usize, out: &mut Vec<f64>) {
+        out.clear();
+        out.resize((m.tile_nnz[i + 1] - m.tile_nnz[i]) as usize, 0.0);
+        self.for_each_tile_run(m, i, |t, a, len| {
+            out[t..t + len].copy_from_slice(&self.arena[a..a + len]);
+        });
+    }
+
+    /// Writes tile `i`'s values (tile storage order) back into the arena.
+    fn scatter_tile(&mut self, m: &TiledMatrix, i: usize, vals: &[f64]) {
+        let mut runs = Vec::new();
+        self.for_each_tile_run(m, i, |t, a, len| runs.push((t, a, len)));
+        for (t, a, len) in runs {
+            self.arena[a..a + len].copy_from_slice(&vals[t..t + len]);
+        }
+    }
+
+    /// Decoded values of tile `i` at its current precision, in the tile's
+    /// storage order.
+    pub fn tile_values(&self, m: &TiledMatrix, i: usize) -> Vec<f64> {
+        let mut out = Vec::new();
+        self.gather_tile(m, i, &mut out);
+        out
     }
 
     /// Lowers tile `i` to `to` if that is strictly narrower than its current
-    /// precision, requantizing the on-chip copy. Returns `true` when a
-    /// conversion happened.
-    pub fn lower_tile(&mut self, i: usize, to: Precision) -> bool {
+    /// precision, requantizing the on-chip copy (gathered, quantized as a
+    /// whole tile, scattered back). Returns `true` when a conversion
+    /// happened.
+    pub fn lower_tile(&mut self, m: &TiledMatrix, i: usize, to: Precision) -> bool {
         if to < self.current_prec[i] {
             self.current_prec[i] = to;
-            let (lo, hi) = (self.tile_off[i], self.tile_off[i + 1]);
-            to.quantize_slice(&mut self.arena[lo..hi]);
+            let mut vals = Vec::new();
+            self.gather_tile(m, i, &mut vals);
+            to.quantize_slice(&mut vals);
+            self.scatter_tile(m, i, &vals);
             true
         } else {
             false
@@ -161,20 +282,21 @@ impl SharedTiles {
 
     /// Resets every tile to its initial precision by re-decoding from `m`
     /// into the existing arena (used between independent solves on the same
-    /// matrix). Performs no allocations.
+    /// matrix). The arena is reused, never reallocated.
     pub fn reset(&mut self, m: &TiledMatrix) {
+        let mut vals = Vec::new();
         for i in 0..m.tile_count() {
-            let (lo, hi) = (self.tile_off[i], self.tile_off[i + 1]);
-            m.decode_tile_into(i, &mut self.arena[lo..hi]);
+            vals.resize((m.tile_nnz[i + 1] - m.tile_nnz[i]) as usize, 0.0);
+            m.decode_tile_into(i, &mut vals);
+            self.scatter_tile(m, i, &vals);
             self.current_prec[i] = self.initial_prec[i];
         }
     }
 
     /// Re-tiers tile `i` to `tier` (adaptive controller v2): re-decodes the
     /// tile's *classification-time* stored values from `m` and quantizes
-    /// them to the target tier in place — no re-tiling, the tile layout and
-    /// arena range are untouched, only the resident values and the
-    /// precision tag change.
+    /// them to the target tier as a whole tile — no re-tiling, the layout is
+    /// untouched, only the resident values and the precision tag change.
     ///
     /// Unlike [`SharedTiles::lower_tile`] (the one-way §III-D path, which
     /// deliberately requantizes the *current* on-chip copy), re-tiering
@@ -185,9 +307,9 @@ impl SharedTiles {
     /// accounts as FP8), so the SpMV statistics and the cost model see the
     /// re-tiered traffic with no kernel changes.
     pub fn retier_tile(&mut self, m: &TiledMatrix, i: usize, tier: mf_precision::TileTier) {
-        let (lo, hi) = (self.tile_off[i], self.tile_off[i + 1]);
-        m.decode_tile_into(i, &mut self.arena[lo..hi]);
-        tier.quantize_slice(&mut self.arena[lo..hi]);
+        let mut vals = m.decode_tile_values(i);
+        tier.quantize_slice(&mut vals);
+        self.scatter_tile(m, i, &vals);
         self.current_prec[i] = tier.storage();
     }
 
@@ -195,6 +317,87 @@ impl SharedTiles {
     pub fn apply_retier(&mut self, m: &TiledMatrix, actions: &[mf_precision::RetierAction]) {
         for a in actions {
             self.retier_tile(m, a.tile as usize, a.to);
+        }
+    }
+
+    /// Algorithm 5's per-tile half, run once per product before the row
+    /// replay: counts bypassed tiles, lowers the on-chip copy of every tile
+    /// whose column demands a narrower precision (one-way, §III-D), and
+    /// tallies the executed precisions. Returns the statistics and whether
+    /// any tile column is bypassed.
+    pub(crate) fn demand_pass(
+        &mut self,
+        m: &TiledMatrix,
+        vis_flags: &[VisFlag],
+    ) -> (MixedSpmvStats, bool) {
+        let mut stats = MixedSpmvStats::default();
+        for i in 0..m.tile_count() {
+            let v_f = vis_flags[m.tile_colidx[i] as usize];
+            let tile_nnz = (m.tile_nnz[i + 1] - m.tile_nnz[i]) as usize;
+            if v_f == VisFlag::Bypass {
+                stats.tiles_bypassed += 1;
+                stats.nnz_bypassed += tile_nnz;
+                continue;
+            }
+            if let Some(demanded) = v_f.demanded() {
+                if self.lower_tile(m, i, demanded) {
+                    stats.conversions += 1;
+                }
+            }
+            stats.tiles_computed += 1;
+            stats.nnz_by_prec[self.current_prec[i].tile_code() as usize] += tile_nnz;
+        }
+        (stats, stats.tiles_bypassed > 0)
+    }
+
+    /// `A[r, :] · x` for matrix row `r` from its segments: each segment is a
+    /// left fold from `0.0`, added to a row accumulator that starts at
+    /// `0.0`. With `BYPASS`, segments whose tile column is flagged
+    /// [`VisFlag::Bypass`] are skipped.
+    #[inline]
+    pub(crate) fn row_product<const BYPASS: bool>(
+        &self,
+        r: usize,
+        x: &[f64],
+        vis_flags: &[VisFlag],
+        tile_size: usize,
+    ) -> f64 {
+        let mut acc = 0.0;
+        let segs = &self.seg_ptr[self.row_seg[r] as usize..=self.row_seg[r + 1] as usize];
+        for seg in segs.windows(2) {
+            let (lo, hi) = (seg[0] as usize, seg[1] as usize);
+            let cols = &self.cols[lo..hi];
+            if BYPASS && vis_flags[cols[0] as usize / tile_size] == VisFlag::Bypass {
+                continue;
+            }
+            let mut sum = 0.0;
+            for (v, &c) in self.arena[lo..hi].iter().zip(cols) {
+                sum += v * x[c as usize];
+            }
+            acc += sum;
+        }
+        acc
+    }
+
+    /// Replays rows `rows` into `y` (`y[k]` is row `rows.start + k`).
+    fn replay_rows(
+        &self,
+        rows: std::ops::Range<usize>,
+        x: &[f64],
+        y: &mut [f64],
+        vis_flags: &[VisFlag],
+        tile_size: usize,
+        bypass: bool,
+    ) {
+        debug_assert_eq!(y.len(), rows.len());
+        if bypass {
+            for (yr, r) in y.iter_mut().zip(rows) {
+                *yr = self.row_product::<true>(r, x, vis_flags, tile_size);
+            }
+        } else {
+            for (yr, r) in y.iter_mut().zip(rows) {
+                *yr = self.row_product::<false>(r, x, vis_flags, tile_size);
+            }
         }
     }
 }
@@ -274,7 +477,11 @@ impl MixedSpmvStats {
 /// For every tile: look up `vis_flag[TileColidx[i]]`; bypass if demanded;
 /// otherwise lower the shared-memory copy once if the demand is narrower
 /// than the tile's current precision, and multiply using the (possibly
-/// lowered) on-chip values.
+/// lowered) on-chip values. The per-tile half runs as one demand pass; the
+/// multiply then replays the row-ordered arena. Row `r` receives one fold
+/// per non-bypassed tile of its tile row, in tile-column order — exactly
+/// the tile-order kernel's `y[r] = 0.0; y[r] += S_tile` sequence, so the
+/// result is bitwise the same.
 ///
 /// `vis_flags` must have one entry per tile column (`m.tile_cols`) — produced
 /// by [`crate::visflag::retrieve_vis_flags`] with `segment_len == tile_size`.
@@ -286,19 +493,9 @@ pub fn spmv_mixed(
     y: &mut [f64],
 ) -> MixedSpmvStats {
     check_mixed_inputs(m, vis_flags, x, y);
-    y.fill(0.0);
-    mixed_span(
-        m,
-        vis_flags,
-        x,
-        0..m.tile_count(),
-        &shared.tile_off,
-        y,
-        0,
-        &mut shared.arena,
-        0,
-        &mut shared.current_prec,
-    )
+    let (stats, bypass) = shared.demand_pass(m, vis_flags);
+    shared.replay_rows(0..m.nrows, x, y, vis_flags, m.tile_size, bypass);
+    stats
 }
 
 fn check_mixed_inputs(m: &TiledMatrix, vis_flags: &[VisFlag], x: &[f64], y: &[f64]) {
@@ -312,84 +509,16 @@ fn check_mixed_inputs(m: &TiledMatrix, vis_flags: &[VisFlag], x: &[f64], y: &[f6
     );
 }
 
-/// The Algorithm-5 engine over one contiguous tile span. Both the
-/// sequential kernel (one span: every tile) and the stripe-parallel kernel
-/// (one span per worker) run *this exact loop*, which is what makes
-/// [`spmv_mixed_par`] bitwise-identical to [`spmv_mixed`]: a stripe of
-/// whole tile rows owns a disjoint row range of `y` and a contiguous arena
-/// range, and within the stripe tiles execute in the same order with the
-/// same accumulation order as the sequential engine.
-///
-/// Slice windows: `y` covers matrix rows `[y_base, y_base + y.len())`,
-/// `arena` covers arena indices `[arena_base, ..)`, and `prec` covers tiles
-/// `[tiles.start, tiles.end)`. `y` must be pre-zeroed; results accumulate.
-#[allow(clippy::too_many_arguments)]
-fn mixed_span(
-    m: &TiledMatrix,
-    vis_flags: &[VisFlag],
-    x: &[f64],
-    tiles: std::ops::Range<usize>,
-    tile_off: &[usize],
-    y: &mut [f64],
-    y_base: usize,
-    arena: &mut [f64],
-    arena_base: usize,
-    prec: &mut [Precision],
-) -> MixedSpmvStats {
-    let mut stats = MixedSpmvStats::default();
-    let prec_base = tiles.start;
-    for i in tiles {
-        let v_f = vis_flags[m.tile_colidx[i] as usize];
-        let tile_nnz = (m.tile_nnz[i + 1] - m.tile_nnz[i]) as usize;
-        if v_f == VisFlag::Bypass {
-            stats.tiles_bypassed += 1;
-            stats.nnz_bypassed += tile_nnz;
-            continue;
-        }
-        let pi = i - prec_base;
-        let (a_lo, a_hi) = (tile_off[i] - arena_base, tile_off[i + 1] - arena_base);
-        if let Some(demanded) = v_f.demanded() {
-            // One-way in-place lowering of the on-chip copy (§III-D); the
-            // stripe owns this arena range exclusively.
-            if demanded < prec[pi] {
-                prec[pi] = demanded;
-                demanded.quantize_slice(&mut arena[a_lo..a_hi]);
-                stats.conversions += 1;
-            }
-        }
-        let exec_prec = prec[pi];
-        stats.tiles_computed += 1;
-        stats.nnz_by_prec[exec_prec.tile_code() as usize] += tile_nnz;
-
-        let base_row = m.tile_rowidx[i] as usize * m.tile_size;
-        let base_col = m.tile_colidx[i] as usize * m.tile_size;
-        let nnz_base = m.tile_nnz[i] as usize;
-        let vals = &arena[a_lo..a_hi];
-        for ri in m.nonrow[i] as usize..m.nonrow[i + 1] as usize {
-            let r = base_row + m.row_index[ri] as usize;
-            let mut sum = 0.0;
-            for k in m.csr_rowptr[ri] as usize..m.csr_rowptr[ri + 1] as usize {
-                sum += vals[k - nnz_base] * x[base_col + m.csr_colidx[k] as usize];
-            }
-            // atomicAdd(u[...], sum) in the kernel; plain add here because
-            // each span owns its row range exclusively.
-            y[r - y_base] += sum;
-        }
-    }
-    stats
-}
-
 /// Stripe-parallel mixed-precision SpMV: **bitwise-identical** to
 /// [`spmv_mixed`] (outputs *and* stats), the CPU analogue of assigning row
 /// tiles to independent thread blocks.
 ///
-/// Tiles are sorted by `(tile_row, tile_col)`, so cutting the tile-row space
-/// into `threads` contiguous stripes (balanced by nonzero count) gives every
-/// worker a disjoint `y` row range, a contiguous arena range, and a
-/// contiguous `current_prec` range — all handed out via `split_at_mut`, so
-/// stripes run with no atomics or locks. Precision lowering stays an
-/// exclusive in-place write within the owning stripe. Per-stripe stats are
-/// merged in stripe order (integer sums — exact).
+/// The demand pass (bypass, lowering, statistics) runs once over all tiles;
+/// then the tile-row space is cut into `threads` contiguous stripes
+/// (balanced by nonzero count). A stripe of whole tile rows is a contiguous
+/// row range, so it owns a disjoint `y` window (handed out with
+/// `split_at_mut`) and reads a contiguous arena range, with no atomics or
+/// locks. Each row is replayed by the same code as the sequential kernel.
 pub fn spmv_mixed_par(
     m: &TiledMatrix,
     shared: &mut SharedTiles,
@@ -399,113 +528,44 @@ pub fn spmv_mixed_par(
     threads: usize,
 ) -> MixedSpmvStats {
     check_mixed_inputs(m, vis_flags, x, y);
-    let t = m.tile_count();
     let threads = threads.max(1).min(m.tile_rows.max(1));
-    if threads <= 1 || t == 0 {
+    if threads <= 1 || m.tile_count() == 0 {
         return spmv_mixed(m, shared, vis_flags, x, y);
     }
-
-    // row_start[tr]: first tile index of tile row >= tr (tiles are sorted
-    // row-major, so each tile row is one contiguous run).
-    let mut row_start = vec![0usize; m.tile_rows + 1];
-    {
-        let mut i = 0;
-        for (tr, slot) in row_start.iter_mut().enumerate() {
-            while i < t && (m.tile_rowidx[i] as usize) < tr {
-                i += 1;
-            }
-            *slot = i;
-        }
-    }
+    let (stats, bypass) = shared.demand_pass(m, vis_flags);
+    let shared = &*shared;
 
     // Cut the tile-row space into `threads` contiguous stripes balanced by
-    // nonzero count.
-    let tile_off = shared.tile_off.as_slice();
-    let total_nnz = tile_off[t];
+    // nonzero count; stripe boundaries are row boundaries.
+    let ts = m.tile_size;
+    let nrows = m.nrows;
+    let nnz_before = |tr: usize| {
+        let r = (tr * ts).min(nrows);
+        shared.seg_ptr[shared.row_seg[r] as usize] as usize
+    };
+    let total_nnz = shared.arena.len();
     let mut cuts = vec![0usize; threads + 1];
-    cuts[threads] = m.tile_rows;
+    cuts[threads] = nrows;
     {
         let mut tr = 0usize;
         for (k, cut) in cuts.iter_mut().enumerate().take(threads).skip(1) {
             let target = total_nnz * k / threads;
-            while tr < m.tile_rows && tile_off[row_start[tr]] < target {
+            while tr < m.tile_rows && nnz_before(tr) < target {
                 tr += 1;
             }
-            *cut = tr;
+            *cut = (tr * ts).min(nrows);
         }
     }
 
-    // Partition y / arena / current_prec into per-stripe exclusive windows.
-    let ts = m.tile_size;
-    let nrows = m.nrows;
-    struct Stripe<'s> {
-        tiles: std::ops::Range<usize>,
-        y: &'s mut [f64],
-        y_base: usize,
-        arena: &'s mut [f64],
-        arena_base: usize,
-        prec: &'s mut [Precision],
-    }
-    let mut stripes: Vec<Stripe<'_>> = Vec::with_capacity(threads);
-    {
+    std::thread::scope(|s| {
         let mut y_rest: &mut [f64] = y;
-        let mut arena_rest: &mut [f64] = &mut shared.arena;
-        let mut prec_rest: &mut [Precision] = &mut shared.current_prec;
-        let (mut y_pos, mut arena_pos, mut prec_pos) = (0usize, 0usize, 0usize);
         for w in 0..threads {
-            let (r0, r1) = (cuts[w], cuts[w + 1]);
-            let (t0, t1) = (row_start[r0], row_start[r1]);
-            let y_hi = (r1 * ts).min(nrows);
-            let (y_span, yr) = y_rest.split_at_mut(y_hi - y_pos);
-            y_rest = yr;
-            let (a_span, ar) = arena_rest.split_at_mut(tile_off[t1] - arena_pos);
-            arena_rest = ar;
-            let (p_span, pr) = prec_rest.split_at_mut(t1 - prec_pos);
-            prec_rest = pr;
-            stripes.push(Stripe {
-                tiles: t0..t1,
-                y: y_span,
-                y_base: y_pos,
-                arena: a_span,
-                arena_base: arena_pos,
-                prec: p_span,
-            });
-            y_pos = y_hi;
-            arena_pos = tile_off[t1];
-            prec_pos = t1;
+            let rows = cuts[w]..cuts[w + 1];
+            let (y_span, rest) = y_rest.split_at_mut(rows.len());
+            y_rest = rest;
+            s.spawn(move || shared.replay_rows(rows, x, y_span, vis_flags, ts, bypass));
         }
-    }
-
-    let parts: Vec<MixedSpmvStats> = std::thread::scope(|s| {
-        let handles: Vec<_> = stripes
-            .into_iter()
-            .map(|stripe| {
-                s.spawn(move || {
-                    stripe.y.fill(0.0);
-                    mixed_span(
-                        m,
-                        vis_flags,
-                        x,
-                        stripe.tiles,
-                        tile_off,
-                        stripe.y,
-                        stripe.y_base,
-                        stripe.arena,
-                        stripe.arena_base,
-                        stripe.prec,
-                    )
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("spmv stripe worker panicked"))
-            .collect()
     });
-    let mut stats = MixedSpmvStats::default();
-    for p in &parts {
-        stats.merge(p);
-    }
     stats
 }
 
@@ -703,11 +763,11 @@ mod tests {
         a.push(0, 0, 0.1);
         let t = TiledMatrix::from_csr_with(&a.to_csr(), 2, &ClassifyOptions::default());
         let mut shared = SharedTiles::load(&t);
-        shared.lower_tile(0, Precision::Fp8);
+        shared.lower_tile(&t, 0, Precision::Fp8);
         assert_eq!(shared.current_prec[0], Precision::Fp8);
         shared.reset(&t);
         assert_eq!(shared.current_prec[0], Precision::Fp64);
-        assert_eq!(shared.tile_values(0)[0], 0.1);
+        assert_eq!(shared.tile_values(&t, 0)[0], 0.1);
     }
 
     #[test]
@@ -717,13 +777,16 @@ mod tests {
         let arena_ptr = shared.arena.as_ptr();
         let arena_cap = shared.arena.capacity();
         for i in 0..t.tile_count() {
-            shared.lower_tile(i, Precision::Fp8);
+            shared.lower_tile(&t, i, Precision::Fp8);
         }
         shared.reset(&t);
         assert_eq!(shared.arena.as_ptr(), arena_ptr, "arena reallocated");
         assert_eq!(shared.arena.capacity(), arena_cap);
         for i in 0..t.tile_count() {
-            assert_eq!(shared.tile_values(i), t.decode_tile_values(i).as_slice());
+            assert_eq!(
+                shared.tile_values(&t, i),
+                t.decode_tile_values(i).as_slice()
+            );
             assert_eq!(shared.current_prec[i], shared.initial_prec[i]);
         }
     }
@@ -737,26 +800,26 @@ mod tests {
         let t = TiledMatrix::from_csr_with(&a.to_csr(), 2, &ClassifyOptions::default());
         let mut shared = SharedTiles::load(&t);
         // Degrade the on-chip copy first (the §III-D one-way path)...
-        shared.lower_tile(0, Precision::Fp8);
-        assert_eq!(shared.tile_values(0)[0], Precision::Fp8.quantize(0.1));
+        shared.lower_tile(&t, 0, Precision::Fp8);
+        assert_eq!(shared.tile_values(&t, 0)[0], Precision::Fp8.quantize(0.1));
         // ...then re-tier to FP16: the result must be FP16(0.1), NOT
         // FP16(FP8(0.1)) — a fresh decode, not a compounded requantize.
         shared.retier_tile(&t, 0, TileTier::Full(Precision::Fp16));
-        assert_eq!(shared.tile_values(0)[0], Precision::Fp16.quantize(0.1));
+        assert_eq!(shared.tile_values(&t, 0)[0], Precision::Fp16.quantize(0.1));
         assert_eq!(shared.current_prec[0], Precision::Fp16);
         // Promotion back to the classification tier restores the value.
         shared.retier_tile(&t, 0, TileTier::Full(Precision::Fp64));
-        assert_eq!(shared.tile_values(0)[0], 0.1);
+        assert_eq!(shared.tile_values(&t, 0)[0], 0.1);
         // Scaled FP8 applies the scaled codec and accounts as FP8.
         let e = pick_scale_exp(0.1);
         shared.retier_tile(&t, 0, TileTier::ScaledFp8 { scale_exp: e });
         assert_eq!(
-            shared.tile_values(0)[0],
+            shared.tile_values(&t, 0)[0],
             mf_precision::quantize_scaled_e4m3(0.1, e)
         );
         assert_eq!(shared.current_prec[0], Precision::Fp8);
         // Within the documented scaled-FP8 round-trip envelope.
-        assert!((shared.tile_values(0)[0] - 0.1).abs() <= 0.1 * 2f64.powi(-4));
+        assert!((shared.tile_values(&t, 0)[0] - 0.1).abs() <= 0.1 * 2f64.powi(-4));
     }
 
     #[test]

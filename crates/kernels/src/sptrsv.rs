@@ -7,12 +7,17 @@
 //! * [`sptrsv_lower`] / [`sptrsv_upper`] — plain substitution (the oracle).
 //! * [`level_schedule`] — dependency-level analysis; the number of levels is
 //!   what makes SpTRSV latency-bound on GPUs and is fed to the cost model.
-//! * [`sptrsv_lower_recursive`] / [`sptrsv_upper_recursive`] — the
-//!   **recursive block algorithm** (ref. \[41\]) the paper uses: a triangular
-//!   matrix is split into two smaller triangles and one square block; the
-//!   square block is applied with SpMV (parallel-friendly), recursing into
-//!   the triangles. §IV-C credits this for the large PCG/PBiCGSTAB speedups
-//!   on matrices with high-parallelism blocks.
+//! * [`TrsvPlan`] — the **recursive-block algorithm** (ref. \[41\]) the paper
+//!   uses: a triangular matrix is split into two smaller triangles and one
+//!   square block; the square block is applied with SpMV (parallel-friendly),
+//!   recursing into the triangles. §IV-C credits this for the large
+//!   PCG/PBiCGSTAB speedups on matrices with high-parallelism blocks. On
+//!   the host the recursion is compiled once into a row-ordered segment
+//!   schedule and replayed row by row; the replay performs the recursion's
+//!   floating-point operations in the recursion's order, so its results are
+//!   bitwise the recursive walk's (see [`TrsvPlan`] for the argument).
+//!   [`sptrsv_lower_recursive`] / [`sptrsv_upper_recursive`] build and
+//!   replay in one call.
 
 use mf_sparse::Csr;
 
@@ -172,87 +177,320 @@ pub struct RecursiveTrsvStats {
 /// Default leaf size of the recursive algorithm.
 pub const DEFAULT_TRSV_LEAF: usize = 64;
 
-/// Recursive-block forward solve `L x = b` (ref. \[41\]).
-pub fn sptrsv_lower_recursive(
-    l: &Csr,
-    b: &[f64],
-    unit_diag: bool,
-    leaf: usize,
-) -> (Vec<f64>, RecursiveTrsvStats) {
-    let mut x = vec![0.0; l.nrows];
-    let stats = sptrsv_lower_recursive_into(l, b, &mut x, unit_diag, leaf);
-    (x, stats)
+/// A row-ordered replay schedule of the recursive-block triangular solve
+/// (ref. \[41\]) of one factor.
+///
+/// The recursion splits the row range `[lo, hi)` at `mid`, solves the
+/// first triangle, applies the square block between the halves as an SpMV
+/// and recurses into the second triangle, down to leaves of at most `leaf`
+/// rows. Row `r` therefore receives one subtraction per ancestor block
+/// whose second half holds it, then its leaf substitution. The plan
+/// replays exactly that: rows in execution order (increasing for `L`,
+/// decreasing for `U`), each row a run of segments in the order the
+/// recursion visits its blocks, each segment the row's entries inside that
+/// block's column interval, in storage order. Entries the recursion never
+/// reads (the wrong side of the diagonal) are dropped, and so are blocks
+/// with no entries in the row.
+///
+/// A segment is kept as runs of positions in the factor's own storage, so
+/// the plan borrows the factor instead of copying it. For a row stored in
+/// column order the runs fall out of its leaf's split points — its `L`
+/// entries meet the blocks in visit order, its `U` entries in reverse — so
+/// only rows stored out of column order need regrouping.
+///
+/// Replay computes `x_r = ((b_r − S_1) − S_2 … − S_leaf) / d_r`, each
+/// `S_k` a left fold from `0.0`, which is the recursion's floating-point
+/// sequence for that row: every `x[c]` it reads is final by then, and a
+/// skipped block would have subtracted `0.0`, which leaves `x` unchanged.
+/// So the result is bitwise the recursive walk's, without re-scanning
+/// every row at every recursion level.
+///
+/// One O(nnz + n·log(n/leaf)) build pass also yields the walk's
+/// structural [`RecursiveTrsvStats`] and the dependency-level count of
+/// [`level_schedule`], which the cost model needs.
+#[derive(Clone, Debug)]
+pub struct TrsvPlan<'a> {
+    t: &'a Csr,
+    lower: bool,
+    /// Leaves in execution order: rows `[lo, hi)`, solved in increasing
+    /// order for `L` and decreasing order for `U`.
+    leaves: Vec<(usize, usize)>,
+    /// Run offsets per row in execution order (`n + 1` entries).
+    row_run: Vec<u32>,
+    /// Storage ranges `[start, end)` of the runs; `start` has
+    /// [`JOINS_SEGMENT`] set when the run continues the previous run's
+    /// segment instead of opening a new one.
+    runs: Vec<(u32, u32)>,
+    /// Divisor per row in execution order (`1.0` for a unit diagonal).
+    diag: Vec<f64>,
+    stats: RecursiveTrsvStats,
+    levels: usize,
 }
 
-/// In-place [`sptrsv_lower_recursive`]: the solution lands in `x`
-/// (length `l.nrows`) without allocating.
-pub fn sptrsv_lower_recursive_into(
-    l: &Csr,
-    b: &[f64],
-    x: &mut [f64],
-    unit_diag: bool,
-    leaf: usize,
-) -> RecursiveTrsvStats {
-    assert!(leaf >= 1);
-    assert_eq!(l.nrows, l.ncols);
-    assert_eq!(b.len(), l.nrows);
-    assert_eq!(x.len(), l.nrows);
-    x.copy_from_slice(b);
-    let mut stats = RecursiveTrsvStats::default();
-    rec_lower(l, x, 0, l.nrows, unit_diag, leaf, &mut stats, 1);
-    stats
+/// Marks a run that stays in its predecessor's segment.
+const JOINS_SEGMENT: u32 = 1 << 31;
+
+impl<'a> TrsvPlan<'a> {
+    /// Plans the forward solve `L x = b`. `unit_diag` treats the diagonal
+    /// as 1 (stored diagonal entries are ignored).
+    pub fn lower(l: &'a Csr, unit_diag: bool, leaf: usize) -> TrsvPlan<'a> {
+        Self::build(l, true, unit_diag, leaf)
+    }
+
+    /// Plans the backward solve `U x = b`.
+    pub fn upper(u: &'a Csr, unit_diag: bool, leaf: usize) -> TrsvPlan<'a> {
+        Self::build(u, false, unit_diag, leaf)
+    }
+
+    fn build(t: &'a Csr, lower: bool, unit: bool, leaf: usize) -> TrsvPlan<'a> {
+        assert!(leaf >= 1);
+        assert_eq!(t.nrows, t.ncols);
+        let n = t.nrows;
+        assert!(
+            t.nnz() < JOINS_SEGMENT as usize && n <= u32::MAX as usize,
+            "triangular factor too large for 31-bit plan offsets"
+        );
+        let mut stats = RecursiveTrsvStats::default();
+        let (mut leaves, mut splits) = (Vec::new(), Vec::new());
+        leaf_walk(
+            0,
+            n,
+            1,
+            leaf,
+            lower,
+            &mut Vec::new(),
+            &mut leaves,
+            &mut splits,
+            &mut stats,
+        );
+        let mut row_run = Vec::with_capacity(n + 1);
+        let mut runs: Vec<(u32, u32)> = Vec::with_capacity(2 * n);
+        let mut diags = Vec::with_capacity(n);
+        let mut level_of = vec![0u32; n];
+        let (mut levels, mut deps, mut leaf_deps) = (0u32, 0usize, 0usize);
+        let mut keyed: Vec<(usize, u32)> = Vec::new();
+        row_run.push(0u32);
+        for &(lo, hi, s0, s1) in &leaves {
+            let splits = &splits[s0..s1];
+            for i in lo..hi {
+                let r = if lower { i } else { lo + hi - 1 - i };
+                let (a, e) = (t.rowptr[r], t.rowptr[r + 1]);
+                let cols = &t.colidx[a..e];
+                let mut diag = if unit { 1.0 } else { 0.0 };
+                let mut lvl = 0u32;
+                // A row stored in column order keeps its dependencies as
+                // one contiguous, ascending stretch `d0..d1`.
+                let (mut d0, mut d1) = (usize::MAX, 0);
+                let mut ordered = true;
+                for (k, &c) in cols.iter().enumerate() {
+                    if (lower && c < r) || (!lower && c > r) {
+                        lvl = lvl.max(level_of[c] + 1);
+                        deps += 1;
+                        leaf_deps += usize::from(if lower { c >= lo } else { c < hi });
+                        if d0 == usize::MAX {
+                            d0 = k;
+                        } else {
+                            ordered &= d1 == k && cols[k - 1] <= c;
+                        }
+                        d1 = k + 1;
+                    } else if c == r && !unit {
+                        diag = t.vals[a + k];
+                    }
+                }
+                debug_assert!(diag != 0.0, "zero diagonal at row {r}");
+                level_of[r] = lvl;
+                levels = levels.max(lvl + 1);
+                diags.push(diag);
+                if d0 == usize::MAX {
+                    row_run.push(runs.len() as u32);
+                    continue;
+                }
+                let at = |k: usize| (a + k) as u32;
+                if !ordered {
+                    // Regroup entry by entry, stably by block key (the
+                    // number of split points on the row's side of `c`).
+                    keyed.clear();
+                    for (k, &c) in cols.iter().enumerate() {
+                        if (lower && c < r) || (!lower && c > r) {
+                            let key = if lower {
+                                splits.partition_point(|&s| s <= c)
+                            } else {
+                                splits.partition_point(|&s| s > c)
+                            };
+                            keyed.push((key, at(k)));
+                        }
+                    }
+                    keyed.sort_by_key(|&(key, _)| key);
+                    for (g, &(key, k)) in keyed.iter().enumerate() {
+                        let joins = g > 0 && keyed[g - 1].0 == key;
+                        runs.push((k | if joins { JOINS_SEGMENT } else { 0 }, k + 1));
+                    }
+                } else if lower {
+                    // Blocks in visit order: one ends where the columns
+                    // pass the next split point.
+                    let mut next = splits.partition_point(|&s| s <= cols[d0]);
+                    let mut start = d0;
+                    for (k, &c) in cols.iter().enumerate().take(d1).skip(d0 + 1) {
+                        if next < splits.len() && splits[next] <= c {
+                            runs.push((at(start), at(k)));
+                            start = k;
+                            while next < splits.len() && splits[next] <= c {
+                                next += 1;
+                            }
+                        }
+                    }
+                    runs.push((at(start), at(d1)));
+                } else {
+                    // The outermost block is the last stretch of columns:
+                    // walk back, a block starting where the columns drop
+                    // below the next split point.
+                    let mut next = splits.partition_point(|&s| s > cols[d1 - 1]);
+                    let mut end = d1;
+                    for k in (d0..d1 - 1).rev() {
+                        let c = cols[k];
+                        if next < splits.len() && c < splits[next] {
+                            runs.push((at(k + 1), at(end)));
+                            end = k + 1;
+                            while next < splits.len() && c < splits[next] {
+                                next += 1;
+                            }
+                        }
+                    }
+                    runs.push((at(d0), at(end)));
+                }
+                row_run.push(runs.len() as u32);
+            }
+        }
+        stats.trsv_nnz = leaf_deps;
+        stats.spmv_nnz = deps - leaf_deps;
+        TrsvPlan {
+            t,
+            lower,
+            leaves: leaves.iter().map(|&(lo, hi, _, _)| (lo, hi)).collect(),
+            row_run,
+            runs,
+            diag: diags,
+            stats,
+            levels: levels as usize,
+        }
+    }
+
+    /// Replays the solve: `x` receives the solution of `T x = b`
+    /// (`x.len() == b.len() == n`), bitwise the recursive walk's.
+    pub fn solve_into(&self, b: &[f64], x: &mut [f64]) {
+        assert_eq!(b.len(), self.diag.len());
+        assert_eq!(x.len(), self.diag.len());
+        let (cols, vals) = (&self.t.colidx[..], &self.t.vals[..]);
+        let rows = self.leaves.iter().flat_map(|&(lo, hi)| {
+            let lower = self.lower;
+            (lo..hi).map(move |i| if lower { i } else { lo + hi - 1 - i })
+        });
+        for ((r, rr), &d) in rows.zip(self.row_run.windows(2)).zip(&self.diag) {
+            let mut acc = b[r];
+            let mut sum = 0.0;
+            for (i, &(start, end)) in self.runs[rr[0] as usize..rr[1] as usize].iter().enumerate() {
+                if i > 0 && start & JOINS_SEGMENT == 0 {
+                    acc -= sum;
+                    sum = 0.0;
+                }
+                let (lo, hi) = ((start & !JOINS_SEGMENT) as usize, end as usize);
+                for (v, &c) in vals[lo..hi].iter().zip(&cols[lo..hi]) {
+                    sum += v * x[c];
+                }
+            }
+            if rr[0] != rr[1] {
+                acc -= sum;
+            }
+            x[r] = acc / d;
+        }
+    }
+
+    /// Work statistics of the recursive walk this plan replays.
+    pub fn stats(&self) -> RecursiveTrsvStats {
+        self.stats
+    }
+
+    /// Dependency levels of the factor (`level_schedule(..).num_levels`).
+    pub fn levels(&self) -> usize {
+        self.levels
+    }
 }
 
+/// Enumerates the leaves of the recursion over rows `[lo, hi)` in
+/// execution order, recording each as `(lo, hi, splits range)` and the
+/// walk's structural statistics. `stack` holds the split points at which
+/// the descent entered a block's second half — one per ancestor block
+/// whose square part the node's rows receive: for `L` the rows `[mid, hi)`
+/// receive the block over columns `[lo, mid)`, for `U` the rows
+/// `[lo, mid)` the block over `[mid, hi)`.
 #[allow(clippy::too_many_arguments)]
-fn rec_lower(
-    l: &Csr,
-    x: &mut [f64],
+fn leaf_walk(
     lo: usize,
     hi: usize,
-    unit: bool,
-    leaf: usize,
-    stats: &mut RecursiveTrsvStats,
     depth: usize,
+    leaf: usize,
+    lower: bool,
+    stack: &mut Vec<usize>,
+    leaves: &mut Vec<(usize, usize, usize, usize)>,
+    splits: &mut Vec<usize>,
+    stats: &mut RecursiveTrsvStats,
 ) {
     if hi <= lo {
         return;
     }
     stats.depth = stats.depth.max(depth);
     if hi - lo <= leaf {
-        // Leaf: substitution using only columns in [lo, hi) — everything to
-        // the left has already been applied by ancestor square blocks.
         stats.leaves += 1;
         stats.max_leaf_rows = stats.max_leaf_rows.max(hi - lo);
-        for r in lo..hi {
-            let mut sum = 0.0;
-            let mut diag = if unit { 1.0 } else { 0.0 };
-            for (c, v) in l.row(r) {
-                if c >= lo && c < r {
-                    sum += v * x[c];
-                    stats.trsv_nnz += 1;
-                } else if c == r && !unit {
-                    diag = v;
-                }
-            }
-            debug_assert!(diag != 0.0, "zero diagonal at row {r}");
-            x[r] = (x[r] - sum) / diag;
-        }
+        leaves.push((lo, hi, splits.len(), splits.len() + stack.len()));
+        splits.extend_from_slice(stack);
         return;
     }
     let mid = lo + (hi - lo) / 2;
-    rec_lower(l, x, lo, mid, unit, leaf, stats, depth + 1);
-    // Square block A21 (rows mid..hi, cols lo..mid) applied as SpMV.
-    for r in mid..hi {
-        let mut sum = 0.0;
-        for (c, v) in l.row(r) {
-            if c >= lo && c < mid {
-                sum += v * x[c];
-                stats.spmv_nnz += 1;
-            }
-        }
-        x[r] -= sum;
-    }
-    rec_lower(l, x, mid, hi, unit, leaf, stats, depth + 1);
+    // Execution order: L solves [lo, mid) first, U solves [mid, hi) first.
+    let (first, second) = if lower {
+        ((lo, mid), (mid, hi))
+    } else {
+        ((mid, hi), (lo, mid))
+    };
+    leaf_walk(
+        first.0,
+        first.1,
+        depth + 1,
+        leaf,
+        lower,
+        stack,
+        leaves,
+        splits,
+        stats,
+    );
+    stack.push(mid);
+    leaf_walk(
+        second.0,
+        second.1,
+        depth + 1,
+        leaf,
+        lower,
+        stack,
+        leaves,
+        splits,
+        stats,
+    );
+    stack.pop();
+}
+
+/// Recursive-block forward solve `L x = b` (ref. \[41\]): builds the
+/// [`TrsvPlan`] and replays it.
+pub fn sptrsv_lower_recursive(
+    l: &Csr,
+    b: &[f64],
+    unit_diag: bool,
+    leaf: usize,
+) -> (Vec<f64>, RecursiveTrsvStats) {
+    let plan = TrsvPlan::lower(l, unit_diag, leaf);
+    let mut x = vec![0.0; l.nrows];
+    plan.solve_into(b, &mut x);
+    (x, plan.stats())
 }
 
 /// Recursive-block backward solve `U x = b`.
@@ -262,78 +500,10 @@ pub fn sptrsv_upper_recursive(
     unit_diag: bool,
     leaf: usize,
 ) -> (Vec<f64>, RecursiveTrsvStats) {
+    let plan = TrsvPlan::upper(u, unit_diag, leaf);
     let mut x = vec![0.0; u.nrows];
-    let stats = sptrsv_upper_recursive_into(u, b, &mut x, unit_diag, leaf);
-    (x, stats)
-}
-
-/// In-place [`sptrsv_upper_recursive`]: the solution lands in `x`
-/// (length `u.nrows`) without allocating.
-pub fn sptrsv_upper_recursive_into(
-    u: &Csr,
-    b: &[f64],
-    x: &mut [f64],
-    unit_diag: bool,
-    leaf: usize,
-) -> RecursiveTrsvStats {
-    assert!(leaf >= 1);
-    assert_eq!(u.nrows, u.ncols);
-    assert_eq!(b.len(), u.nrows);
-    assert_eq!(x.len(), u.nrows);
-    x.copy_from_slice(b);
-    let mut stats = RecursiveTrsvStats::default();
-    rec_upper(u, x, 0, u.nrows, unit_diag, leaf, &mut stats, 1);
-    stats
-}
-
-#[allow(clippy::too_many_arguments)]
-fn rec_upper(
-    u: &Csr,
-    x: &mut [f64],
-    lo: usize,
-    hi: usize,
-    unit: bool,
-    leaf: usize,
-    stats: &mut RecursiveTrsvStats,
-    depth: usize,
-) {
-    if hi <= lo {
-        return;
-    }
-    stats.depth = stats.depth.max(depth);
-    if hi - lo <= leaf {
-        stats.leaves += 1;
-        stats.max_leaf_rows = stats.max_leaf_rows.max(hi - lo);
-        for r in (lo..hi).rev() {
-            let mut sum = 0.0;
-            let mut diag = if unit { 1.0 } else { 0.0 };
-            for (c, v) in u.row(r) {
-                if c > r && c < hi {
-                    sum += v * x[c];
-                    stats.trsv_nnz += 1;
-                } else if c == r && !unit {
-                    diag = v;
-                }
-            }
-            debug_assert!(diag != 0.0, "zero diagonal at row {r}");
-            x[r] = (x[r] - sum) / diag;
-        }
-        return;
-    }
-    let mid = lo + (hi - lo) / 2;
-    rec_upper(u, x, mid, hi, unit, leaf, stats, depth + 1);
-    // Square block A12 (rows lo..mid, cols mid..hi) applied as SpMV.
-    for r in lo..mid {
-        let mut sum = 0.0;
-        for (c, v) in u.row(r) {
-            if c >= mid && c < hi {
-                sum += v * x[c];
-                stats.spmv_nnz += 1;
-            }
-        }
-        x[r] -= sum;
-    }
-    rec_upper(u, x, lo, mid, unit, leaf, stats, depth + 1);
+    plan.solve_into(b, &mut x);
+    (x, plan.stats())
 }
 
 #[cfg(test)]

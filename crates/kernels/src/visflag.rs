@@ -79,34 +79,33 @@ pub fn retrieve_vis_flags(p: &[f64], segment_len: usize, eps: f64, flags: &mut V
     flags.reserve(nseg);
     let thresholds = [eps * 1e-3, eps * 1e-2, eps * 1e-1, eps];
 
-    for s in 0..nseg {
-        let lo = s * segment_len;
-        let hi = ((s + 1) * segment_len).min(p.len());
-        // flag[u] counts elements below thresholds[u] (paper lines 4-11).
-        let mut flag = [0usize; 4];
-        for &v in &p[lo..hi] {
+    for seg in p.chunks(segment_len) {
+        // Every |p_i| of the segment lies below a threshold exactly when
+        // the segment's largest |p_i| does (paper lines 4-11 count the
+        // elements below each threshold instead). A NaN compares below no
+        // threshold, so it pins the segment to `Keep`.
+        let mut max = 0.0f64;
+        let mut nan = false;
+        for &v in seg {
             let a = v.abs();
-            for (u, &t) in thresholds.iter().enumerate() {
-                if a < t {
-                    flag[u] += 1;
-                }
-            }
+            nan |= a.is_nan();
+            max = if a > max { a } else { max };
         }
         // First threshold interval that covers the whole segment wins
-        // (paper lines 12-17; `tilesize` there is the segment length).
-        let len = hi - lo;
-        let mut vf = VisFlag::Keep;
-        for (u, &c) in flag.iter().enumerate() {
-            if c == len {
-                vf = match u {
-                    0 => VisFlag::Bypass,
-                    1 => VisFlag::Fp8,
-                    2 => VisFlag::Fp16,
-                    _ => VisFlag::Fp32,
-                };
-                break;
-            }
-        }
+        // (paper lines 12-17).
+        let vf = if nan {
+            VisFlag::Keep
+        } else if max < thresholds[0] {
+            VisFlag::Bypass
+        } else if max < thresholds[1] {
+            VisFlag::Fp8
+        } else if max < thresholds[2] {
+            VisFlag::Fp16
+        } else if max < thresholds[3] {
+            VisFlag::Fp32
+        } else {
+            VisFlag::Keep
+        };
         flags.push(vf);
     }
 }

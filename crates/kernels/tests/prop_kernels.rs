@@ -1,11 +1,12 @@
 //! Property-based tests for the computational kernels.
 
 use mf_kernels::{
-    blas1, ilu0, level_schedule, spmv_csr, spmv_csr_par, spmv_mixed, spmv_mixed_par, spmv_tiled,
-    spmv_tiled_par, sptrsv_lower, sptrsv_lower_recursive, sptrsv_upper, sptrsv_upper_recursive,
-    SharedTiles, VisFlag,
+    blas1, ilu0, level_schedule, retrieve_vis_flags, spmm_mixed, spmv_csr, spmv_csr_par,
+    spmv_mixed, spmv_mixed_par, spmv_tiled, spmv_tiled_par, sptrsv_lower, sptrsv_lower_recursive,
+    sptrsv_upper, sptrsv_upper_recursive, MixedSpmvStats, RecursiveTrsvStats, SharedTiles,
+    TrsvPlan, VisFlag,
 };
-use mf_precision::ClassifyOptions;
+use mf_precision::{pick_scale_exp, ClassifyOptions, Precision, RetierAction, TileTier};
 use mf_sparse::{Coo, Csr, TiledMatrix};
 use proptest::prelude::*;
 
@@ -437,6 +438,427 @@ proptest! {
         spmv_tiled_par(&t, &x, &mut y4);
         for i in 0..n {
             prop_assert_eq!(y3[i].to_bits(), y4[i].to_bits());
+        }
+    }
+}
+
+// ---- Oracles: the kernels as they were before the row-ordered replays ----
+
+/// The recursive-block forward solve as a recursive walk (ref. [41]): the
+/// oracle [`TrsvPlan`] must reproduce bit for bit.
+#[allow(clippy::too_many_arguments)]
+fn rec_lower(
+    l: &Csr,
+    x: &mut [f64],
+    lo: usize,
+    hi: usize,
+    unit: bool,
+    leaf: usize,
+    stats: &mut RecursiveTrsvStats,
+    depth: usize,
+) {
+    if hi <= lo {
+        return;
+    }
+    stats.depth = stats.depth.max(depth);
+    if hi - lo <= leaf {
+        stats.leaves += 1;
+        stats.max_leaf_rows = stats.max_leaf_rows.max(hi - lo);
+        for r in lo..hi {
+            let mut sum = 0.0;
+            let mut diag = if unit { 1.0 } else { 0.0 };
+            for (c, v) in l.row(r) {
+                if c >= lo && c < r {
+                    sum += v * x[c];
+                    stats.trsv_nnz += 1;
+                } else if c == r && !unit {
+                    diag = v;
+                }
+            }
+            x[r] = (x[r] - sum) / diag;
+        }
+        return;
+    }
+    let mid = lo + (hi - lo) / 2;
+    rec_lower(l, x, lo, mid, unit, leaf, stats, depth + 1);
+    for r in mid..hi {
+        let mut sum = 0.0;
+        for (c, v) in l.row(r) {
+            if c >= lo && c < mid {
+                sum += v * x[c];
+                stats.spmv_nnz += 1;
+            }
+        }
+        x[r] -= sum;
+    }
+    rec_lower(l, x, mid, hi, unit, leaf, stats, depth + 1);
+}
+
+/// The recursive-block backward solve as a recursive walk.
+#[allow(clippy::too_many_arguments)]
+fn rec_upper(
+    u: &Csr,
+    x: &mut [f64],
+    lo: usize,
+    hi: usize,
+    unit: bool,
+    leaf: usize,
+    stats: &mut RecursiveTrsvStats,
+    depth: usize,
+) {
+    if hi <= lo {
+        return;
+    }
+    stats.depth = stats.depth.max(depth);
+    if hi - lo <= leaf {
+        stats.leaves += 1;
+        stats.max_leaf_rows = stats.max_leaf_rows.max(hi - lo);
+        for r in (lo..hi).rev() {
+            let mut sum = 0.0;
+            let mut diag = if unit { 1.0 } else { 0.0 };
+            for (c, v) in u.row(r) {
+                if c > r && c < hi {
+                    sum += v * x[c];
+                    stats.trsv_nnz += 1;
+                } else if c == r && !unit {
+                    diag = v;
+                }
+            }
+            x[r] = (x[r] - sum) / diag;
+        }
+        return;
+    }
+    let mid = lo + (hi - lo) / 2;
+    rec_upper(u, x, mid, hi, unit, leaf, stats, depth + 1);
+    for r in lo..mid {
+        let mut sum = 0.0;
+        for (c, v) in u.row(r) {
+            if c >= mid && c < hi {
+                sum += v * x[c];
+                stats.spmv_nnz += 1;
+            }
+        }
+        x[r] -= sum;
+    }
+    rec_upper(u, x, lo, mid, unit, leaf, stats, depth + 1);
+}
+
+/// A random triangular-solve operand with the awkward cases the replay
+/// must keep bitwise: rows stored in column order or shuffled (so a row's
+/// blocks interleave), duplicate columns, stray entries on the wrong side
+/// of the diagonal, and rows with no off-diagonal entries. Non-unit operands
+/// always store a diagonal (stored last or first at random); unit operands
+/// may leave rows entirely empty.
+fn trsv_operand(n: usize, entries: &[(usize, usize, i32)], unit: bool, seed: u64) -> Csr {
+    let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
+    for &(r, c, v) in entries {
+        let (r, c) = (r % n, c % n);
+        if r != c && v != 0 {
+            rows[r].push((c, v as f64 / 8.0));
+        }
+    }
+    for (r, row) in rows.iter_mut().enumerate() {
+        if !unit || r % 3 == 0 {
+            let d = 1.5 + (r % 4) as f64 * 0.375;
+            row.push((r, if r % 2 == 0 { d } else { -d }));
+        }
+        // Odd seeds shuffle each row deterministically; even seeds store
+        // rows in column order (duplicates kept), the layout factors have.
+        if seed.is_multiple_of(2) {
+            row.sort_by_key(|&(c, _)| c);
+            continue;
+        }
+        let mut h = seed ^ (r as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        for k in (1..row.len()).rev() {
+            h = h
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            row.swap(k, (h >> 33) as usize % (k + 1));
+        }
+    }
+    let mut csr = Csr {
+        nrows: n,
+        ncols: n,
+        rowptr: vec![0],
+        colidx: Vec::new(),
+        vals: Vec::new(),
+    };
+    for row in rows {
+        for (c, v) in row {
+            csr.colidx.push(c);
+            csr.vals.push(v);
+        }
+        csr.rowptr.push(csr.colidx.len());
+    }
+    csr
+}
+
+/// The tile-order mixed SpMV (paper Algorithm 5 walked tile by tile) over
+/// a tile-ordered copy of the on-chip values.
+struct TileOrderOracle {
+    arena: Vec<f64>,
+    tile_off: Vec<usize>,
+    prec: Vec<Precision>,
+}
+
+impl TileOrderOracle {
+    fn load(m: &TiledMatrix) -> TileOrderOracle {
+        let tile_off: Vec<usize> = m.tile_nnz.iter().map(|&o| o as usize).collect();
+        let mut arena = vec![0.0; m.nnz()];
+        for i in 0..m.tile_count() {
+            m.decode_tile_into(i, &mut arena[tile_off[i]..tile_off[i + 1]]);
+        }
+        TileOrderOracle {
+            arena,
+            tile_off,
+            prec: m.tile_prec.clone(),
+        }
+    }
+
+    fn retier(&mut self, m: &TiledMatrix, actions: &[RetierAction]) {
+        for a in actions {
+            let i = a.tile as usize;
+            let vals = &mut self.arena[self.tile_off[i]..self.tile_off[i + 1]];
+            m.decode_tile_into(i, vals);
+            a.to.quantize_slice(vals);
+            self.prec[i] = a.to.storage();
+        }
+    }
+
+    fn spmv(
+        &mut self,
+        m: &TiledMatrix,
+        flags: &[VisFlag],
+        x: &[f64],
+        y: &mut [f64],
+    ) -> MixedSpmvStats {
+        let mut stats = MixedSpmvStats::default();
+        y.fill(0.0);
+        for i in 0..m.tile_count() {
+            let v_f = flags[m.tile_colidx[i] as usize];
+            let tile_nnz = (m.tile_nnz[i + 1] - m.tile_nnz[i]) as usize;
+            if v_f == VisFlag::Bypass {
+                stats.tiles_bypassed += 1;
+                stats.nnz_bypassed += tile_nnz;
+                continue;
+            }
+            let (a_lo, a_hi) = (self.tile_off[i], self.tile_off[i + 1]);
+            if let Some(demanded) = v_f.demanded() {
+                if demanded < self.prec[i] {
+                    self.prec[i] = demanded;
+                    demanded.quantize_slice(&mut self.arena[a_lo..a_hi]);
+                    stats.conversions += 1;
+                }
+            }
+            stats.tiles_computed += 1;
+            stats.nnz_by_prec[self.prec[i].tile_code() as usize] += tile_nnz;
+            let base_row = m.tile_rowidx[i] as usize * m.tile_size;
+            let base_col = m.tile_colidx[i] as usize * m.tile_size;
+            for ri in m.nonrow[i] as usize..m.nonrow[i + 1] as usize {
+                let r = base_row + m.row_index[ri] as usize;
+                let mut sum = 0.0;
+                for k in m.csr_rowptr[ri] as usize..m.csr_rowptr[ri + 1] as usize {
+                    sum += self.arena[k] * x[base_col + m.csr_colidx[k] as usize];
+                }
+                y[r] += sum;
+            }
+        }
+        stats
+    }
+}
+
+/// Algorithm 4 as the paper writes it: count the elements below each
+/// threshold, take the first threshold that covers the whole segment.
+fn vis_flags_by_counting(p: &[f64], segment_len: usize, eps: f64) -> Vec<VisFlag> {
+    let thresholds = [eps * 1e-3, eps * 1e-2, eps * 1e-1, eps];
+    p.chunks(segment_len)
+        .map(|seg| {
+            let mut flag = [0usize; 4];
+            for &v in seg {
+                for (u, &t) in thresholds.iter().enumerate() {
+                    if v.abs() < t {
+                        flag[u] += 1;
+                    }
+                }
+            }
+            match flag.iter().position(|&c| c == seg.len()) {
+                Some(0) => VisFlag::Bypass,
+                Some(1) => VisFlag::Fp8,
+                Some(2) => VisFlag::Fp16,
+                Some(3) => VisFlag::Fp32,
+                _ => VisFlag::Keep,
+            }
+        })
+        .collect()
+}
+
+fn assert_bits(a: &[f64], b: &[f64]) -> proptest::test_runner::TestCaseResult {
+    prop_assert_eq!(a.len(), b.len());
+    for (i, (x, y)) in a.iter().zip(b).enumerate() {
+        prop_assert!(
+            x.to_bits() == y.to_bits(),
+            "index {}: {:e} vs {:e}",
+            i,
+            x,
+            y
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The row-ordered SpTRSV replay is bitwise the recursive walk: the
+    /// solution bits, every `RecursiveTrsvStats` field and the dependency
+    /// level count, for both triangles, unit and non-unit diagonals, and
+    /// leaf sizes from 1 to beyond `n`.
+    #[test]
+    fn trsv_replay_bitwise_equals_recursion(
+        n in 1usize..150,
+        entries in prop::collection::vec((0usize..150, 0usize..150, -16i32..=16), 0..600),
+        leaf_pick in 0usize..6,
+        unit_pick in 0u8..2,
+        seed in 0u64..u64::MAX,
+    ) {
+        let leaf = [1, 2, 3, 64, n, n + 7][leaf_pick];
+        let unit = unit_pick == 1;
+        let t = trsv_operand(n, &entries, unit, seed);
+        let b: Vec<f64> = (0..n).map(|i| ((i * 7 + 3) % 13) as f64 * 0.25 - 1.5).collect();
+        for lower in [true, false] {
+            let mut oracle = b.clone();
+            let mut want = RecursiveTrsvStats::default();
+            let plan = if lower {
+                rec_lower(&t, &mut oracle, 0, n, unit, leaf, &mut want, 1);
+                TrsvPlan::lower(&t, unit, leaf)
+            } else {
+                rec_upper(&t, &mut oracle, 0, n, unit, leaf, &mut want, 1);
+                TrsvPlan::upper(&t, unit, leaf)
+            };
+            let mut x = vec![f64::NAN; n];
+            plan.solve_into(&b, &mut x);
+            assert_bits(&x, &oracle)?;
+            prop_assert_eq!(plan.stats(), want);
+            prop_assert_eq!(plan.levels(), level_schedule(&t, lower).num_levels);
+        }
+    }
+
+    /// The max-|p| flag scan equals the paper's counting scan on the values
+    /// where the two could part: ±0, subnormals, ±Inf, NaN and values lying
+    /// exactly on a threshold.
+    #[test]
+    fn vis_flags_max_form_equals_counting_form(
+        picks in prop::collection::vec((0usize..14, 0u8..2), 0..120),
+        seg in 1usize..9,
+        eps_pick in 0usize..4,
+    ) {
+        let eps = [1e-10, 1.0, f64::MIN_POSITIVE, 3e300][eps_pick];
+        let thresholds = [eps * 1e-3, eps * 1e-2, eps * 1e-1, eps];
+        let p: Vec<f64> = picks
+            .iter()
+            .map(|&(k, neg)| {
+                let v = match k {
+                    0 => 0.0,
+                    1 => f64::MIN_POSITIVE / 4.0,
+                    2 => f64::MIN_POSITIVE,
+                    3 => f64::INFINITY,
+                    4 => f64::NAN,
+                    5..=8 => thresholds[k - 5],
+                    9..=12 => thresholds[k - 9] * 0.75,
+                    _ => 1.0,
+                };
+                if neg == 1 { -v } else { v }
+            })
+            .collect();
+        let mut flags = Vec::new();
+        retrieve_vis_flags(&p, seg, eps, &mut flags);
+        prop_assert_eq!(flags, vis_flags_by_counting(&p, seg, eps));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The row-ordered mixed SpMV kernels are bitwise the tile-order walk:
+    /// `spmv_mixed`, `spmv_mixed_par` at 1–7 stripes and every `spmm_mixed`
+    /// column, over flag rounds that bypass and lower FP32 → FP16 → FP8,
+    /// after a re-tier plan with scaled-FP8 tiers. Outputs, statistics and
+    /// each tile's on-chip values must all match.
+    #[test]
+    fn row_ordered_spmv_bitwise_equals_tile_order(
+        a in varied_coo_strategy(90, 450),
+        tile_pick in 0usize..5,
+        flag_seed in 0u64..1_000_000,
+    ) {
+        let tile = [2usize, 3, 4, 8, 16][tile_pick];
+        let m = TiledMatrix::from_csr_with(&a, tile, &ClassifyOptions::default());
+        let n = a.nrows;
+        let k = 3;
+        let xs: Vec<f64> = (0..n * k)
+            .map(|i| ((i * 13 + 5) % 29) as f64 * 0.37 - 4.0)
+            .collect();
+        let x = &xs[..n];
+
+        // Re-tier every third tile, alternating FP16 and scaled FP8.
+        let actions: Vec<RetierAction> = (0..m.tile_count())
+            .filter(|i| i % 3 == (flag_seed % 3) as usize)
+            .map(|i| {
+                let max = m.decode_tile_values(i).iter().fold(0.0f64, |a, v| a.max(v.abs()));
+                let to = if i % 2 == 0 {
+                    TileTier::Full(Precision::Fp16)
+                } else {
+                    TileTier::ScaledFp8 { scale_exp: pick_scale_exp(max) }
+                };
+                RetierAction { tile: i as u32, from: TileTier::Full(m.tile_prec[i]), to }
+            })
+            .collect();
+
+        let mut oracle = TileOrderOracle::load(&m);
+        oracle.retier(&m, &actions);
+        let mut seq = SharedTiles::load(&m);
+        seq.apply_retier(&m, &actions);
+        let mut pars: Vec<SharedTiles> = (0..7).map(|_| seq.clone()).collect();
+        let mut blocked = seq.clone();
+
+        let demand = [VisFlag::Keep, VisFlag::Fp32, VisFlag::Fp16, VisFlag::Fp8];
+        for (round, &lowered) in demand.iter().enumerate() {
+            let flags: Vec<VisFlag> = flag_pattern(m.tile_cols, flag_seed, round as u64)
+                .into_iter()
+                .map(|f| if f == VisFlag::Bypass { f } else { lowered })
+                .collect();
+            let mut want = vec![0.0; n];
+            let want_stats = oracle.spmv(&m, &flags, x, &mut want);
+
+            let mut y = vec![f64::NAN; n];
+            prop_assert_eq!(spmv_mixed(&m, &mut seq, &flags, x, &mut y), want_stats);
+            assert_bits(&y, &want)?;
+            for (s, sh) in pars.iter_mut().enumerate() {
+                let mut y = vec![f64::NAN; n];
+                prop_assert_eq!(spmv_mixed_par(&m, sh, &flags, x, &mut y, s + 1), want_stats);
+                assert_bits(&y, &want)?;
+            }
+
+            let mut ys = vec![f64::NAN; n * k];
+            let active = [true, false, true];
+            prop_assert_eq!(spmm_mixed(&m, &mut blocked, &flags, &xs, &mut ys, &active), want_stats);
+            for (j, _) in active.iter().enumerate().filter(|(_, a)| **a) {
+                let mut col = vec![0.0; n];
+                let mut replay = TileOrderOracle {
+                    arena: oracle.arena.clone(),
+                    tile_off: oracle.tile_off.clone(),
+                    prec: oracle.prec.clone(),
+                };
+                replay.spmv(&m, &flags, &xs[j * n..(j + 1) * n], &mut col);
+                assert_bits(&ys[j * n..(j + 1) * n], &col)?;
+            }
+            prop_assert!(ys[n..2 * n].iter().all(|v| v.is_nan()), "inactive column written");
+        }
+
+        for sh in std::iter::once(&seq).chain(&pars).chain(std::iter::once(&blocked)) {
+            prop_assert_eq!(&sh.current_prec, &oracle.prec);
+            for i in 0..m.tile_count() {
+                assert_bits(&sh.tile_values(&m, i), &oracle.arena[oracle.tile_off[i]..oracle.tile_off[i + 1]])?;
+            }
         }
     }
 }

@@ -724,6 +724,47 @@ mod tests {
         );
     }
 
+    /// The Step-A memo reuses a charge only for an unchanged state, so the
+    /// modeled timeline is bitwise the one that walks every tile at every
+    /// iteration — over a solve that both bypasses and lowers tiles.
+    #[test]
+    fn memoized_spmv_charge_is_bitwise_the_recomputed_one() {
+        let mut a = Coo::new(128, 128);
+        for i in 0..32 {
+            a.push(i, i, 4.0);
+        }
+        for i in 32..128 {
+            a.push(i, i, 2.0 + 0.1 * (i % 3) as f64);
+            if i > 32 {
+                a.push(i, i - 1, -1.0);
+            }
+            if i + 1 < 128 {
+                a.push(i, i + 1, -1.0);
+            }
+        }
+        let csr = a.to_csr();
+        let cfg = SolverConfig::default();
+        let (m, mut shared, memo, mut partial, b) = setup(&csr, &cfg);
+        let res = run_cg(&m, &mut shared, &b, &cfg, &memo, &mut partial);
+        assert!(res.spmv_stats.tiles_bypassed > 0, "{:?}", res.spmv_stats);
+        assert!(res.spmv_stats.conversions > 0, "{:?}", res.spmv_stats);
+
+        let (m, mut shared, _, mut partial, b) = setup(&csr, &cfg);
+        let walk = Coster::Single(
+            SingleCoster::new(CostModel::new(DeviceSpec::a100()), &m, cfg.tile_size)
+                .without_spmv_memo(),
+        );
+        let reference = run_cg(&m, &mut shared, &b, &cfg, &walk, &mut partial);
+        assert_eq!(res.iterations, reference.iterations);
+        for phase in mf_gpu::Phase::ALL {
+            assert_eq!(
+                res.timeline.get(phase).to_bits(),
+                reference.timeline.get(phase).to_bits(),
+                "{phase:?}"
+            );
+        }
+    }
+
     #[test]
     fn partial_convergence_bypasses_late_iterations() {
         // Decoupled system: the scaled-identity block is a single isolated

@@ -16,7 +16,9 @@
 
 use mf_gpu::{CostModel, Phase, ShmemPlan, SpmvSchedule, Timeline, VectorSchedule};
 use mf_kernels::{MixedSpmvStats, SharedTiles, VisFlag};
+use mf_precision::Precision;
 use mf_sparse::TiledMatrix;
+use std::cell::RefCell;
 
 /// Per-warp sustained rates derived from the device peaks (a single warp
 /// cannot use more than its share of the pipelines).
@@ -59,6 +61,21 @@ pub struct SingleCoster {
     tile_nnz: Vec<usize>,
     tile_col: Vec<u32>,
     tile_bytes_global: Vec<usize>,
+    /// The last Step-A charge and the state it was priced from: the charge
+    /// depends only on the flags and the tile precisions, which stay put
+    /// for most of a solve, so an unchanged state reuses it instead of
+    /// walking every tile again.
+    spmv_memo: RefCell<Option<SpmvMemo>>,
+    memoize: bool,
+}
+
+/// One memoized [`SingleCoster::spmv`] charge.
+#[derive(Debug)]
+struct SpmvMemo {
+    vis: Vec<VisFlag>,
+    prec: Vec<Precision>,
+    worst: f64,
+    active_tiles: usize,
 }
 
 impl SingleCoster {
@@ -97,7 +114,17 @@ impl SingleCoster {
             tile_nnz,
             tile_col: m.tile_colidx.clone(),
             tile_bytes_global,
+            spmv_memo: RefCell::new(None),
+            memoize: true,
         }
+    }
+
+    /// The same coster with the Step-A memo switched off, so every charge
+    /// walks the tiles (the reference the memo is tested against).
+    #[cfg(test)]
+    pub(crate) fn without_spmv_memo(mut self) -> SingleCoster {
+        self.memoize = false;
+        self
     }
 
     /// Warps the kernel launches.
@@ -117,8 +144,37 @@ impl SingleCoster {
     }
 
     /// Per-warp straggler body of the mixed-precision SpMV plus the active
-    /// tile count (needed for the dependency-array atomic charge).
+    /// tile count (needed for the dependency-array atomic charge), reused
+    /// from the previous call while `vis` and the tile precisions are
+    /// unchanged.
     fn spmv_body(&self, shared: &SharedTiles, vis: &[VisFlag]) -> (f64, usize) {
+        if !self.memoize {
+            return self.spmv_walk(shared, vis);
+        }
+        let mut memo = self.spmv_memo.borrow_mut();
+        if let Some(c) = memo.as_ref() {
+            if c.vis == vis && c.prec == shared.current_prec {
+                return (c.worst, c.active_tiles);
+            }
+        }
+        let (worst, active_tiles) = self.spmv_walk(shared, vis);
+        let c = memo.get_or_insert_with(|| SpmvMemo {
+            vis: Vec::new(),
+            prec: Vec::new(),
+            worst,
+            active_tiles,
+        });
+        c.vis.clear();
+        c.vis.extend_from_slice(vis);
+        c.prec.clear();
+        c.prec.extend_from_slice(&shared.current_prec);
+        c.worst = worst;
+        c.active_tiles = active_tiles;
+        (worst, active_tiles)
+    }
+
+    /// [`Self::spmv_body`] computed from scratch: one pass over every tile.
+    fn spmv_walk(&self, shared: &SharedTiles, vis: &[VisFlag]) -> (f64, usize) {
         let mut worst = 0.0f64;
         let mut active_tiles = 0usize;
         for (w, &(lo, hi)) in self.spmv_sched.warp_tiles.iter().enumerate() {
@@ -631,6 +687,37 @@ mod tests {
 
     fn cost() -> CostModel {
         CostModel::new(DeviceSpec::a100())
+    }
+
+    /// The Step-A memo is keyed on both the flags and the tile precisions:
+    /// a precision change under unchanged flags (a re-tier) must re-price.
+    #[test]
+    fn spmv_memo_tracks_flags_and_precisions() {
+        let m = tiled(96);
+        // A compute-starved device, so the charge depends on precision.
+        let slow = || {
+            let mut dev = DeviceSpec::a100();
+            dev.fp64_gflops = 1.0;
+            CostModel::new(dev)
+        };
+        let memo = SingleCoster::new(slow(), &m, 16);
+        let walk = SingleCoster::new(slow(), &m, 16).without_spmv_memo();
+        let mut shared = SharedTiles::load(&m);
+        let mut vis = vec![VisFlag::Keep; m.tile_cols];
+        let step = |shared: &SharedTiles, vis: &[VisFlag]| {
+            let (mut a, mut b) = (Timeline::new(), Timeline::new());
+            memo.spmv(&mut a, shared, vis);
+            walk.spmv(&mut b, shared, vis);
+            assert_eq!(a.total_us().to_bits(), b.total_us().to_bits());
+            a.total_us()
+        };
+        let initial = step(&shared, &vis);
+        assert_eq!(step(&shared, &vis), initial);
+        shared.current_prec.fill(Precision::Fp64);
+        assert_ne!(step(&shared, &vis), initial, "a precision change re-prices");
+        vis[1] = VisFlag::Bypass;
+        step(&shared, &vis);
+        step(&shared, &vis);
     }
 
     #[test]

@@ -395,8 +395,6 @@ pub fn run_pcg_pipelined_ws(
 
     let mut tl = Timeline::new();
     charge_factorization(mc, &mut tl, ilu.nnz(), n);
-    let lu_levels = mf_kernels::level_schedule(&ilu.l, true).num_levels
-        + mf_kernels::level_schedule(&ilu.u, false).num_levels;
 
     let mut result = CoreResult::empty();
 
@@ -410,6 +408,11 @@ pub fn run_pcg_pipelined_ws(
     }
 
     ws.ensure(n);
+    // The recursive-block SpTRSV schedules of this factor pair, built once
+    // per solve; the level count lets the cost model price recursive-block
+    // vs level-scheduled (see MultiCoster::sptrsv_adaptive).
+    let trsv = ilu.plan(cfg.trsv_leaf);
+    let (trsv_stats, lu_levels) = (trsv.stats(), trsv.levels());
     let SolverWorkspace {
         x,
         r,
@@ -429,8 +432,8 @@ pub fn run_pcg_pipelined_ws(
 
     // Init (x0 = 0): r = b, u = M⁻¹r, w = A·u, γ = (r,u), δ = (w,u),
     // ρ = (r,r) = ‖b‖².
-    let fstats = ilu.apply_recursive_into(r, cfg.trsv_leaf, y, u);
-    mc.sptrsv_adaptive(&mut tl, &fstats, ilu.nnz(), lu_levels);
+    trsv.apply_into(r, y, u);
+    mc.sptrsv_adaptive(&mut tl, &trsv_stats, ilu.nnz(), lu_levels);
     partial.update(u);
     let stats = mixed_spmv(m, shared, &partial.vis_flags, u, w, threads);
     result.spmv_stats.merge(&stats);
@@ -449,8 +452,8 @@ pub fn run_pcg_pipelined_ws(
     for _j in 0..iters {
         // ---- Preconditioner chain m = M⁻¹w, then SpMV n = A·m. On the
         // device these overlap the reduction that produced (γ, δ, ρ).
-        let mstats = ilu.apply_recursive_into(w, cfg.trsv_leaf, y, mvec);
-        mc.sptrsv_adaptive(&mut tl, &mstats, ilu.nnz(), lu_levels);
+        trsv.apply_into(w, y, mvec);
+        mc.sptrsv_adaptive(&mut tl, &trsv_stats, ilu.nnz(), lu_levels);
         partial.update(mvec);
         let stats = mixed_spmv(m, shared, &partial.vis_flags, mvec, nvec, threads);
         result.spmv_stats.merge(&stats);

@@ -66,10 +66,6 @@ pub fn run_pcg_ws(
 
     let mut tl = Timeline::new();
     charge_factorization(mc, &mut tl, ilu.nnz(), n);
-    // Preprocessing decides the SpTRSV algorithm for this factor pair:
-    // recursive-block vs level-scheduled (see MultiCoster::sptrsv_adaptive).
-    let lu_levels = mf_kernels::level_schedule(&ilu.l, true).num_levels
-        + mf_kernels::level_schedule(&ilu.u, false).num_levels;
 
     let mut result = CoreResult::empty();
 
@@ -83,13 +79,18 @@ pub fn run_pcg_ws(
     }
 
     ws.ensure(n);
+    // The recursive-block SpTRSV schedules of this factor pair, built once
+    // per solve; the level count lets the cost model price recursive-block
+    // vs level-scheduled (see MultiCoster::sptrsv_adaptive).
+    let trsv = ilu.plan(cfg.trsv_leaf);
+    let (trsv_stats, lu_levels) = (trsv.stats(), trsv.levels());
     let SolverWorkspace {
         x, r, z, p, u, y, ..
     } = ws;
     r.copy_from_slice(b);
     let threads = cfg.host_parallelism.threads_for(m.nnz());
-    let fstats = ilu.apply_recursive_into(r, cfg.trsv_leaf, y, z);
-    mc.sptrsv_adaptive(&mut tl, &fstats, ilu.nnz(), lu_levels);
+    trsv.apply_into(r, y, z);
+    mc.sptrsv_adaptive(&mut tl, &trsv_stats, ilu.nnz(), lu_levels);
     p.copy_from_slice(z);
     let mut rz = blas1::dot(r, z);
     mc.dot(&mut tl, true);
@@ -178,8 +179,8 @@ pub fn run_pcg_ws(
             break;
         }
 
-        let zstats = ilu.apply_recursive_into(r, cfg.trsv_leaf, y, z);
-        mc.sptrsv_adaptive(&mut tl, &zstats, ilu.nnz(), lu_levels);
+        trsv.apply_into(r, y, z);
+        mc.sptrsv_adaptive(&mut tl, &trsv_stats, ilu.nnz(), lu_levels);
 
         let rz_new = blas1::dot(r, z);
         mc.dot(&mut tl, true);
@@ -231,8 +232,8 @@ pub fn run_pcg_ws(
                     r[i] = b[i] - u[i];
                 }
                 mc.axpy(&mut tl);
-                let zst = ilu.apply_recursive_into(r, cfg.trsv_leaf, y, z);
-                mc.sptrsv_adaptive(&mut tl, &zst, ilu.nnz(), lu_levels);
+                trsv.apply_into(r, y, z);
+                mc.sptrsv_adaptive(&mut tl, &trsv_stats, ilu.nnz(), lu_levels);
                 p.copy_from_slice(z);
                 rz = blas1::dot(r, z);
                 mc.dot(&mut tl, true);
@@ -288,8 +289,6 @@ pub fn run_pcg_ic_ws(
 
     let mut tl = Timeline::new();
     charge_factorization(mc, &mut tl, ic.l.nnz(), n);
-    let lu_levels = mf_kernels::level_schedule(&ic.l, true).num_levels
-        + mf_kernels::level_schedule(&ic.lt, false).num_levels;
 
     let mut result = CoreResult::empty();
 
@@ -303,13 +302,18 @@ pub fn run_pcg_ic_ws(
     }
 
     ws.ensure(n);
+    // The recursive-block SpTRSV schedules of this factor pair, built once
+    // per solve; the level count lets the cost model price recursive-block
+    // vs level-scheduled (see MultiCoster::sptrsv_adaptive).
+    let trsv = ic.plan(cfg.trsv_leaf);
+    let (trsv_stats, lu_levels) = (trsv.stats(), trsv.levels());
     let SolverWorkspace {
         x, r, z, p, u, y, ..
     } = ws;
     r.copy_from_slice(b);
     let threads = cfg.host_parallelism.threads_for(m.nnz());
-    let fstats = ic.apply_recursive_into(r, cfg.trsv_leaf, y, z);
-    mc.sptrsv_adaptive(&mut tl, &fstats, ic.nnz(), lu_levels);
+    trsv.apply_into(r, y, z);
+    mc.sptrsv_adaptive(&mut tl, &trsv_stats, ic.nnz(), lu_levels);
     p.copy_from_slice(z);
     let mut rz = blas1::dot(r, z);
     mc.dot(&mut tl, true);
@@ -389,8 +393,8 @@ pub fn run_pcg_ic_ws(
             break;
         }
 
-        let zstats = ic.apply_recursive_into(r, cfg.trsv_leaf, y, z);
-        mc.sptrsv_adaptive(&mut tl, &zstats, ic.nnz(), lu_levels);
+        trsv.apply_into(r, y, z);
+        mc.sptrsv_adaptive(&mut tl, &trsv_stats, ic.nnz(), lu_levels);
 
         let rz_new = blas1::dot(r, z);
         mc.dot(&mut tl, true);
@@ -657,10 +661,6 @@ pub fn run_pbicgstab_ws(
 
     let mut tl = Timeline::new();
     charge_factorization(mc, &mut tl, ilu.nnz(), n);
-    // Preprocessing decides the SpTRSV algorithm for this factor pair:
-    // recursive-block vs level-scheduled (see MultiCoster::sptrsv_adaptive).
-    let lu_levels = mf_kernels::level_schedule(&ilu.l, true).num_levels
-        + mf_kernels::level_schedule(&ilu.u, false).num_levels;
 
     let mut result = CoreResult::empty();
 
@@ -674,6 +674,11 @@ pub fn run_pbicgstab_ws(
     }
 
     ws.ensure(n);
+    // The recursive-block SpTRSV schedules of this factor pair, built once
+    // per solve; the level count lets the cost model price recursive-block
+    // vs level-scheduled (see MultiCoster::sptrsv_adaptive).
+    let trsv = ilu.plan(cfg.trsv_leaf);
+    let (trsv_stats, lu_levels) = (trsv.stats(), trsv.levels());
     let SolverWorkspace {
         x,
         r,
@@ -699,8 +704,8 @@ pub fn run_pbicgstab_ws(
 
     for _j in 0..iters {
         // p̂ = M⁻¹ p ; v = A p̂.
-        let st_p = ilu.apply_recursive_into(p, cfg.trsv_leaf, y, phat);
-        mc.sptrsv_adaptive(&mut tl, &st_p, ilu.nnz(), lu_levels);
+        trsv.apply_into(p, y, phat);
+        mc.sptrsv_adaptive(&mut tl, &trsv_stats, ilu.nnz(), lu_levels);
         partial.update(phat);
         let st1 = mixed_spmv(m, shared, &partial.vis_flags, phat, v, threads);
         result.spmv_stats.merge(&st1);
@@ -722,7 +727,7 @@ pub fn run_pbicgstab_ws(
                 rho = blas1::dot(r, r);
             }
             mc.axpy(&mut tl);
-            mc.sptrsv_adaptive(&mut tl, &st_p, ilu.nnz(), lu_levels);
+            mc.sptrsv_adaptive(&mut tl, &trsv_stats, ilu.nnz(), lu_levels);
             mc.spmv(&mut tl, m, &st1);
             mc.dot(&mut tl, true);
             mc.dot(&mut tl, true);
@@ -764,8 +769,8 @@ pub fn run_pbicgstab_ws(
         mc.axpy(&mut tl);
 
         // ŝ = M⁻¹ s ; t = A ŝ.
-        let st_s = ilu.apply_recursive_into(s, cfg.trsv_leaf, y, shat);
-        mc.sptrsv_adaptive(&mut tl, &st_s, ilu.nnz(), lu_levels);
+        trsv.apply_into(s, y, shat);
+        mc.sptrsv_adaptive(&mut tl, &trsv_stats, ilu.nnz(), lu_levels);
         partial.update(shat);
         let st2 = mixed_spmv(m, shared, &partial.vis_flags, shat, t, threads);
         result.spmv_stats.merge(&st2);

@@ -60,6 +60,7 @@ TIERS=(
     "prop_partition|mf-gpu|prop_partition|300||rerun"
     "prop_ticket|mf-gpu|prop_ticket|300||rerun"
     "prop_retier|mf-precision|prop_retier|300||rerun"
+    "prop_kernels|mf-kernels|prop_kernels|300||rerun"
 )
 
 list_tiers() {
