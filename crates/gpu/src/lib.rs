@@ -28,12 +28,6 @@
 //! * [`faults`] — deterministic, seed-reproducible schedule perturbation
 //!   and fault injection ([`FaultPlan`]) for stress-testing the
 //!   dependency protocol's determinism and liveness claims.
-//! * [`ticket`] — the sequencer/worker/committer "Ticketed Parallel
-//!   Execution" runtime: deterministic per-ticket seeds, strict
-//!   commit-order replay with revalidation and serial fallback, seeded
-//!   [`TicketFaults`] perturbation, and the schedule model behind
-//!   `fig_ticket`. The concurrency substrate for host-side
-//!   preprocessing in `mf-solver`.
 //! * [`backend`] — the [`Device`]/[`DeviceBuffer`] execution-backend trait
 //!   pair (modeled on the wasi-parallel device abstraction), the simulated
 //!   single-device implementor, the [`Interconnect`] link model, and the
@@ -50,7 +44,6 @@ pub mod faults;
 pub mod schedule;
 pub mod shard;
 pub mod sharedmem;
-pub mod ticket;
 pub mod timeline;
 
 pub use backend::{
@@ -67,8 +60,4 @@ pub use faults::{
 pub use schedule::{SpmvSchedule, VectorSchedule};
 pub use shard::ShardPlan;
 pub use sharedmem::ShmemPlan;
-pub use ticket::{
-    run_ticketed, simulate_barrier_pipeline, simulate_ticketed, ticket_seed, CommitInfo,
-    CommitView, TicketConfig, TicketError, TicketFaults, TicketStats, UnitSpec,
-};
 pub use timeline::{Phase, Timeline};

@@ -96,16 +96,6 @@ pub const MAX_FACTOR_SHIFTS: usize = 4;
 /// retry doubles it.
 const SHIFT_FRACTION: f64 = 1e-3;
 
-/// The first Manteuffel shift the `*_boosted` drivers try:
-/// `10⁻³ · max|a_ii|` (each retry doubles it, at most
-/// [`MAX_FACTOR_SHIFTS`] attempts). Public so alternate factorization
-/// drivers — the ticketed preprocessing pipeline in `mf-solver` — can
-/// mirror the exact schedule and stay bitwise-identical to
-/// [`ilu0_boosted`] / [`Ic0::new_boosted`].
-pub fn initial_boost_shift(a: &Csr) -> f64 {
-    SHIFT_FRACTION * shift_base(a)
-}
-
 /// The boosting scale ‖diag‖: largest finite |a_ii|, or 1 when the
 /// diagonal is entirely absent/zero so the shift is still nonzero.
 fn shift_base(a: &Csr) -> f64 {
@@ -181,7 +171,7 @@ pub fn ilu0_boosted(a: &Csr) -> Result<(Ilu0, Vec<f64>), FactorError> {
         Err(_) => {}
     }
     let mut shifts = Vec::new();
-    let mut shift = initial_boost_shift(a);
+    let mut shift = SHIFT_FRACTION * shift_base(a);
     let mut last = FactorError::ZeroPivot(0);
     for _ in 0..MAX_FACTOR_SHIFTS {
         shifts.push(shift);
@@ -194,210 +184,85 @@ pub fn ilu0_boosted(a: &Csr) -> Result<(Ilu0, Vec<f64>), FactorError> {
     Err(last)
 }
 
-/// One factored row: the row-granular unit of both ILU(0) and IC(0).
-///
-/// For ILU(0), `lower` holds the strict-lower `L` entries, `upper` the
-/// `U` entries (`c >= i`, diagonal included) and `diag` caches `u_ii`.
-/// For IC(0), `lower` holds the whole `L` row (diagonal last), `upper`
-/// is empty, and `diag` caches `l_ii`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FactorRow {
-    /// Lower-triangle entries `(col, value)` in ascending column order.
-    pub lower: Vec<(usize, f64)>,
-    /// Upper-triangle entries (ILU(0) only).
-    pub upper: Vec<(usize, f64)>,
-    /// The row's pivot.
-    pub diag: f64,
-}
-
-/// Read access to already-factored ILU(0) rows `k < i` — what
-/// [`ilu0_row`] eliminates against. Implemented by the serial
-/// accumulator [`Ilu0Rows`] and by the ticketed pipeline's commit-view
-/// wrapper in `mf-solver`.
-pub trait FactorRowsView {
-    /// Row `k` of `U` (`c >= k`, diagonal included), ascending columns.
-    fn upper_row(&self, k: usize) -> &[(usize, f64)];
-    /// The cached pivot `u_kk`.
-    fn diag(&self, k: usize) -> f64;
-}
-
-/// Read access to already-factored IC(0) rows `j < i`.
-pub trait CholRowsView {
-    /// Row `j` of `L` (`c <= j`, diagonal last), ascending columns.
-    fn chol_row(&self, j: usize) -> &[(usize, f64)];
-    /// The cached pivot `l_jj`.
-    fn chol_diag(&self, j: usize) -> f64;
-}
-
-/// Reusable dense-scatter workspace for [`ilu0_row`].
-pub struct IluScratch {
-    /// Position of column `c` in the current working set, or `usize::MAX`.
-    pos: Vec<usize>,
-    work_cols: Vec<usize>,
-    work_vals: Vec<f64>,
-}
-
-impl IluScratch {
-    /// Workspace for an `n × n` factorization.
-    pub fn new(n: usize) -> IluScratch {
-        IluScratch {
-            pos: vec![usize::MAX; n],
-            work_cols: Vec::new(),
-            work_vals: Vec::new(),
-        }
-    }
-}
-
-/// Factors row `i` of ILU(0) (IKJ variant, no fill-in) against the
-/// already-factored rows in `view`.
-///
-/// Pure in `(a, i, view)` — the arithmetic and its order are *exactly*
-/// the serial [`ilu0`] inner loop, so any driver that commits rows in
-/// order (serial, ticketed) produces bitwise-identical factors. The
-/// caller must guarantee every pattern column `k < i` of row `i` is
-/// present in `view`; with in-order commits, the row's *maximum* such
-/// column suffices as the readiness watermark.
-pub fn ilu0_row(
-    a: &Csr,
-    i: usize,
-    view: &impl FactorRowsView,
-    scratch: &mut IluScratch,
-) -> Result<FactorRow, FactorError> {
-    let IluScratch {
-        pos,
-        work_cols,
-        work_vals,
-    } = scratch;
-    work_cols.clear();
-    work_vals.clear();
-    for (c, v) in a.row(i) {
-        pos[c] = work_cols.len();
-        work_cols.push(c);
-        work_vals.push(v);
-    }
-
-    // Eliminate with previously finished rows k < i present in the
-    // pattern (work_cols is sorted because CSR rows are sorted).
-    for wk in 0..work_cols.len() {
-        let k = work_cols[wk];
-        if k >= i {
-            break;
-        }
-        let pivot = view.diag(k);
-        if unusable_pivot(pivot) {
-            for &c in work_cols.iter() {
-                pos[c] = usize::MAX;
-            }
-            return Err(FactorError::ZeroPivot(k));
-        }
-        let factor = work_vals[wk] / pivot;
-        work_vals[wk] = factor;
-        for &(j, ukj) in view.upper_row(k) {
-            if j <= k {
-                continue;
-            }
-            let pj = pos[j];
-            if pj != usize::MAX {
-                work_vals[pj] -= factor * ukj;
-            }
-        }
-    }
-
-    // Split the worked row into L (c < i) and U (c >= i).
-    let mut lower = Vec::new();
-    let mut upper = Vec::new();
-    let mut diag = 0.0f64;
-    for (wk, &c) in work_cols.iter().enumerate() {
-        if c < i {
-            lower.push((c, work_vals[wk]));
-        } else {
-            if c == i {
-                diag = work_vals[wk];
-            }
-            upper.push((c, work_vals[wk]));
-        }
-    }
-    // Clear scatter markers (scratch is reused across rows and retries).
-    for &c in work_cols.iter() {
-        pos[c] = usize::MAX;
-    }
-    if unusable_pivot(diag) {
-        return Err(FactorError::ZeroPivot(i));
-    }
-    Ok(FactorRow { lower, upper, diag })
-}
-
-/// Accumulates committed ILU(0) rows in order; the serial
-/// factorization's state and the reference [`FactorRowsView`].
-pub struct Ilu0Rows {
-    l_rows: Vec<Vec<(usize, f64)>>,
-    u_rows: Vec<Vec<(usize, f64)>>,
-    udiag: Vec<f64>,
-}
-
-impl Ilu0Rows {
-    /// Empty accumulator with capacity for `n` rows.
-    pub fn with_capacity(n: usize) -> Ilu0Rows {
-        Ilu0Rows {
-            l_rows: Vec::with_capacity(n),
-            u_rows: Vec::with_capacity(n),
-            udiag: Vec::with_capacity(n),
-        }
-    }
-
-    /// Number of rows committed so far.
-    pub fn len(&self) -> usize {
-        self.u_rows.len()
-    }
-
-    /// True when no rows have been committed.
-    pub fn is_empty(&self) -> bool {
-        self.u_rows.is_empty()
-    }
-
-    /// Appends the next row (rows must arrive in order).
-    pub fn push(&mut self, row: FactorRow) {
-        self.udiag.push(row.diag);
-        self.l_rows.push(row.lower);
-        self.u_rows.push(row.upper);
-    }
-
-    /// Packages the accumulated rows as [`Ilu0`] factors.
-    pub fn into_factors(self) -> Ilu0 {
-        let n = self.l_rows.len();
-        Ilu0 {
-            l: rows_to_csr(n, &self.l_rows),
-            u: rows_to_csr(n, &self.u_rows),
-        }
-    }
-}
-
-impl FactorRowsView for Ilu0Rows {
-    fn upper_row(&self, k: usize) -> &[(usize, f64)] {
-        &self.u_rows[k]
-    }
-    fn diag(&self, k: usize) -> f64 {
-        self.udiag[k]
-    }
-}
-
 /// Computes the ILU(0) factorization of `a` (IKJ variant, no fill-in).
-///
-/// Row-by-row driver over [`ilu0_row`]; the ticketed pipeline runs the
-/// same row function against its commit view, so both paths share one
-/// arithmetic implementation.
 pub fn ilu0(a: &Csr) -> Result<Ilu0, FactorError> {
     if a.nrows != a.ncols {
         return Err(FactorError::NotSquare);
     }
     let n = a.nrows;
-    let mut rows = Ilu0Rows::with_capacity(n);
-    let mut scratch = IluScratch::new(n);
+
+    // U rows built incrementally; `udiag` caches the pivot of each row.
+    let mut u_rows: Vec<Vec<(usize, f64)>> = Vec::with_capacity(n);
+    let mut l_rows: Vec<Vec<(usize, f64)>> = Vec::with_capacity(n);
+    let mut udiag = vec![0.0f64; n];
+
+    // Dense scatter workspace: position of column c in the current row's
+    // working set, or usize::MAX.
+    let mut pos = vec![usize::MAX; n];
+    let mut work_cols: Vec<usize> = Vec::new();
+    let mut work_vals: Vec<f64> = Vec::new();
+
     for i in 0..n {
-        let row = ilu0_row(a, i, &rows, &mut scratch)?;
-        rows.push(row);
+        work_cols.clear();
+        work_vals.clear();
+        for (c, v) in a.row(i) {
+            pos[c] = work_cols.len();
+            work_cols.push(c);
+            work_vals.push(v);
+        }
+
+        // Eliminate with previously finished rows k < i present in the
+        // pattern (work_cols is sorted because CSR rows are sorted).
+        for wk in 0..work_cols.len() {
+            let k = work_cols[wk];
+            if k >= i {
+                break;
+            }
+            let pivot = udiag[k];
+            if unusable_pivot(pivot) {
+                return Err(FactorError::ZeroPivot(k));
+            }
+            let factor = work_vals[wk] / pivot;
+            work_vals[wk] = factor;
+            for &(j, ukj) in &u_rows[k] {
+                if j <= k {
+                    continue;
+                }
+                let pj = pos[j];
+                if pj != usize::MAX {
+                    work_vals[pj] -= factor * ukj;
+                }
+            }
+        }
+
+        // Split the worked row into L (c < i) and U (c >= i).
+        let mut lrow = Vec::new();
+        let mut urow = Vec::new();
+        for (wk, &c) in work_cols.iter().enumerate() {
+            if c < i {
+                lrow.push((c, work_vals[wk]));
+            } else {
+                if c == i {
+                    udiag[i] = work_vals[wk];
+                }
+                urow.push((c, work_vals[wk]));
+            }
+        }
+        if unusable_pivot(udiag[i]) {
+            return Err(FactorError::ZeroPivot(i));
+        }
+        // Clear scatter markers.
+        for &c in &work_cols {
+            pos[c] = usize::MAX;
+        }
+        l_rows.push(lrow);
+        u_rows.push(urow);
     }
-    Ok(rows.into_factors())
+
+    Ok(Ilu0 {
+        l: rows_to_csr(n, &l_rows),
+        u: rows_to_csr(n, &u_rows),
+    })
 }
 
 fn rows_to_csr(n: usize, rows: &[Vec<(usize, f64)>]) -> Csr {
@@ -508,7 +373,7 @@ impl Ic0 {
             Err(_) => {}
         }
         let mut shifts = Vec::new();
-        let mut shift = initial_boost_shift(a);
+        let mut shift = SHIFT_FRACTION * shift_base(a);
         let mut last = FactorError::ZeroPivot(0);
         for _ in 0..MAX_FACTOR_SHIFTS {
             shifts.push(shift);
@@ -562,152 +427,64 @@ impl Ic0 {
     }
 }
 
-/// Reusable dense-scatter workspace for [`ic0_row`].
-pub struct Ic0Scratch {
-    /// Dense scatter of the current row of L (columns <= i).
-    dense: Vec<f64>,
-    cols: Vec<usize>,
-}
-
-impl Ic0Scratch {
-    /// Workspace for an `n × n` factorization.
-    pub fn new(n: usize) -> Ic0Scratch {
-        Ic0Scratch {
-            dense: vec![0.0f64; n],
-            cols: Vec::new(),
-        }
-    }
-}
-
-/// Factors row `i` of IC(0) against the already-factored rows in
-/// `view`. Pure in `(a, i, view)` with the exact serial arithmetic
-/// order — see [`ilu0_row`] for the sharing contract.
-pub fn ic0_row(
-    a: &Csr,
-    i: usize,
-    view: &impl CholRowsView,
-    scratch: &mut Ic0Scratch,
-) -> Result<FactorRow, FactorError> {
-    let Ic0Scratch { dense, cols } = scratch;
-    cols.clear();
-    for (c, v) in a.row(i) {
-        if c <= i {
-            dense[c] = v;
-            cols.push(c);
-        }
-    }
-    // l_ij = (a_ij - sum_{k<j} l_ik l_jk) / l_jj  for pattern entries.
-    let mut row = Vec::with_capacity(cols.len());
-    let mut diag = 0.0f64;
-    for &j in cols.iter() {
-        let mut s = dense[j];
-        // Intersection of row i's current partial entries and row j of L.
-        if j < i {
-            for &(k, ljk) in view.chol_row(j) {
-                if k < j {
-                    s -= dense[k] * ljk;
-                }
-            }
-            let v = s / view.chol_diag(j);
-            dense[j] = v;
-            row.push((j, v));
-        } else {
-            // diagonal: l_ii = sqrt(a_ii - sum l_ik^2)
-            let mut d = s;
-            for &(k, lik) in &row {
-                let _ = k;
-                d -= lik * lik;
-            }
-            if d <= 0.0 || !d.is_finite() {
-                for &c in cols.iter() {
-                    dense[c] = 0.0;
-                }
-                return Err(FactorError::NotSpd(i));
-            }
-            let v = d.sqrt();
-            diag = v;
-            row.push((i, v));
-        }
-    }
-    // Clear scatter (scratch is reused across rows and retries).
-    for &c in cols.iter() {
-        dense[c] = 0.0;
-    }
-    if unusable_pivot(diag) {
-        return Err(FactorError::ZeroPivot(i));
-    }
-    Ok(FactorRow {
-        lower: row,
-        upper: Vec::new(),
-        diag,
-    })
-}
-
-/// Accumulates committed IC(0) rows in order; the serial
-/// factorization's state and the reference [`CholRowsView`].
-pub struct Ic0Rows {
-    l_rows: Vec<Vec<(usize, f64)>>,
-    ldiag: Vec<f64>,
-}
-
-impl Ic0Rows {
-    /// Empty accumulator with capacity for `n` rows.
-    pub fn with_capacity(n: usize) -> Ic0Rows {
-        Ic0Rows {
-            l_rows: Vec::with_capacity(n),
-            ldiag: Vec::with_capacity(n),
-        }
-    }
-
-    /// Number of rows committed so far.
-    pub fn len(&self) -> usize {
-        self.l_rows.len()
-    }
-
-    /// True when no rows have been committed.
-    pub fn is_empty(&self) -> bool {
-        self.l_rows.is_empty()
-    }
-
-    /// Appends the next row (rows must arrive in order).
-    pub fn push(&mut self, row: FactorRow) {
-        self.ldiag.push(row.diag);
-        self.l_rows.push(row.lower);
-    }
-
-    /// Packages the accumulated rows as the lower Cholesky factor.
-    pub fn into_factor(self) -> Csr {
-        let n = self.l_rows.len();
-        rows_to_csr(n, &self.l_rows)
-    }
-}
-
-impl CholRowsView for Ic0Rows {
-    fn chol_row(&self, j: usize) -> &[(usize, f64)] {
-        &self.l_rows[j]
-    }
-    fn chol_diag(&self, j: usize) -> f64 {
-        self.ldiag[j]
-    }
-}
-
 /// Computes the IC(0) factorization `A ≈ L Lᵀ` of an SPD matrix; returns the
 /// lower-triangular factor with the diagonal stored.
-///
-/// Row-by-row driver over [`ic0_row`] (see [`ilu0`] for the sharing
-/// contract with the ticketed pipeline).
 pub fn ic0(a: &Csr) -> Result<Csr, FactorError> {
     if a.nrows != a.ncols {
         return Err(FactorError::NotSquare);
     }
     let n = a.nrows;
-    let mut rows = Ic0Rows::with_capacity(n);
-    let mut scratch = Ic0Scratch::new(n);
+    let mut l_rows: Vec<Vec<(usize, f64)>> = Vec::with_capacity(n);
+    let mut ldiag = vec![0.0f64; n];
+    // Dense scatter of the current row of L (columns <= i).
+    let mut dense = vec![0.0f64; n];
+    let mut cols: Vec<usize> = Vec::new();
+
     for i in 0..n {
-        let row = ic0_row(a, i, &rows, &mut scratch)?;
-        rows.push(row);
+        cols.clear();
+        for (c, v) in a.row(i) {
+            if c <= i {
+                dense[c] = v;
+                cols.push(c);
+            }
+        }
+        // l_ij = (a_ij - sum_{k<j} l_ik l_jk) / l_jj  for pattern entries.
+        let mut row = Vec::with_capacity(cols.len());
+        for &j in &cols {
+            let mut s = dense[j];
+            // Intersection of row i's current partial entries and row j of L.
+            if j < i {
+                for &(k, ljk) in &l_rows[j] {
+                    if k < j {
+                        s -= dense[k] * ljk;
+                    }
+                }
+                let v = s / ldiag[j];
+                dense[j] = v;
+                row.push((j, v));
+            } else {
+                // diagonal: l_ii = sqrt(a_ii - sum l_ik^2)
+                let mut d = s;
+                for &(_, lik) in &row {
+                    d -= lik * lik;
+                }
+                if d <= 0.0 || !d.is_finite() {
+                    return Err(FactorError::NotSpd(i));
+                }
+                let v = d.sqrt();
+                ldiag[i] = v;
+                row.push((i, v));
+            }
+        }
+        if unusable_pivot(ldiag[i]) {
+            return Err(FactorError::ZeroPivot(i));
+        }
+        for &c in &cols {
+            dense[c] = 0.0;
+        }
+        l_rows.push(row);
     }
-    Ok(rows.into_factor())
+    Ok(rows_to_csr(n, &l_rows))
 }
 
 #[cfg(test)]

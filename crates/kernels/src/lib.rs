@@ -34,9 +34,7 @@ pub mod visflag;
 
 pub use block_jacobi::BlockJacobi;
 pub use ilu::{
-    diag_shifted, ic0, ic0_row, ilu0, ilu0_boosted, ilu0_row, initial_boost_shift, CholRowsView,
-    FactorError, FactorPlan, FactorRow, FactorRowsView, Ic0, Ic0Rows, Ic0Scratch, Ilu0, Ilu0Rows,
-    IluScratch, MAX_FACTOR_SHIFTS,
+    diag_shifted, ic0, ilu0, ilu0_boosted, FactorError, FactorPlan, Ic0, Ilu0, MAX_FACTOR_SHIFTS,
 };
 pub use shard::{sptrsv_lower_span, sptrsv_upper_span, ShardView};
 pub use spmm::{axpy_block, col, col_mut, dot_block, spmm_mixed, xpay_block};

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use mf_gpu::{CostModel, DeviceSpec};
-use mf_kernels::SharedTiles;
+use mf_kernels::{ilu0_boosted, SharedTiles};
 use mf_solver::block::{run_cg_block_ws, BlockOptions, BlockWorkspace, ColumnStatus};
 use mf_solver::coster::{Coster, MultiCoster, SingleCoster};
 use mf_solver::report::ExecutedMode;
@@ -126,15 +126,14 @@ impl SolveService {
     pub fn prepare(&self, a: &Csr) -> (Arc<PreparedMatrix>, bool) {
         let fp = a.fingerprint();
         self.cache.get_or_build(fp, || {
-            let (pre, ilu) = if self.config.precondition {
-                // Fused cold path: tiling and ILU(0) share one ticket
-                // stream when host parallelism allows. A factorization
-                // failure (non-square, irreparable pivot) downgrades this
-                // matrix to plain CG rather than failing the request.
-                let (pre, factors) = self.solver.preprocess_with_ilu0(a);
-                (pre, factors.ok().map(|(f, _shifts)| f))
+            let pre = self.solver.preprocess(a);
+            let ilu = if self.config.precondition {
+                // A factorization failure (non-square, irreparable pivot)
+                // downgrades this matrix to plain CG rather than failing
+                // the request.
+                ilu0_boosted(a).ok().map(|(f, _shifts)| f)
             } else {
-                (self.solver.preprocess(a), None)
+                None
             };
             let mode = self.solver.decide_mode(&pre.tiled);
             let pipelined = self.solver.decide_pipeline(&pre.tiled, mode);
@@ -367,6 +366,7 @@ impl SolveService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mf_solver::HostParallelism;
     use mf_sparse::Coo;
 
     fn poisson1d(n: usize) -> Csr {
@@ -425,6 +425,59 @@ mod tests {
         let (prepared, hit) = svc.prepare(&a);
         assert!(hit);
         assert!(prepared.ilu.is_some(), "ILU factors cached with the matrix");
+
+        // A cold prepare caches exactly `ilu0_boosted`'s factors and the
+        // serial build's tiles at every host-parallelism setting, also on
+        // a matrix that factors only after diagonal boosting (row 0 is an
+        // isolated zero pivot). The service keeps no shift trail, so the
+        // boosted factors being bitwise equal is what pins the shift.
+        let mut z = Coo::new(32, 32);
+        z.push(0, 0, 0.0);
+        for i in 1..32 {
+            z.push(i, i, 3.0 + i as f64 * 0.125);
+            if i > 1 {
+                z.push(i, i - 1, -1.0);
+                z.push(i - 1, i, -1.0);
+            }
+        }
+        let boosted = z.to_csr();
+        assert!(!ilu0_boosted(&boosted).unwrap().1.is_empty());
+        let bits = |m: &Csr| {
+            let vals: Vec<u64> = m.vals.iter().map(|v| v.to_bits()).collect();
+            (m.rowptr.clone(), m.colidx.clone(), vals)
+        };
+        for m in [a, boosted] {
+            let (want, _) = ilu0_boosted(&m).unwrap();
+            let serial_cfg = SolverConfig {
+                host_parallelism: HostParallelism::Serial,
+                ..SolverConfig::default()
+            };
+            let tiles = MilleFeuille::new(DeviceSpec::a100(), serial_cfg)
+                .preprocess(&m)
+                .tiled;
+            for hp in [
+                HostParallelism::Serial,
+                HostParallelism::Threads(2),
+                HostParallelism::Threads(4),
+            ] {
+                let svc = SolveService::new(ServeConfig {
+                    precondition: true,
+                    solver: SolverConfig {
+                        host_parallelism: hp,
+                        ..SolverConfig::default()
+                    },
+                    ..ServeConfig::default()
+                });
+                let (prepared, hit) = svc.prepare(&m);
+                assert!(!hit);
+                let got = prepared.ilu.as_ref().expect("factors cached");
+                assert_eq!(bits(&got.l), bits(&want.l), "L under {hp:?}");
+                assert_eq!(bits(&got.u), bits(&want.u), "U under {hp:?}");
+                let t = &prepared.pre.tiled;
+                assert_eq!(t.tile_prec, tiles.tile_prec, "{hp:?}");
+                assert_eq!(t.vals_raw(), tiles.vals_raw(), "{hp:?}");
+            }
+        }
     }
 
     #[test]

@@ -663,6 +663,48 @@ mod tests {
             assert_eq!(serial.iterations, par.iterations, "threads={t}");
             assert_eq!(serial.x, par.x, "threads={t}");
         }
+
+        // The facade's tile build (parallel classification under forced
+        // threads) is bit-identical too, on a matrix at or above
+        // `AUTO_PAR_NNZ`. Each 16-row band scales its values into another
+        // precision class, so classification has real work to get wrong.
+        let mut big = mf_collection::poisson2d(120, 120);
+        assert!(big.nnz() >= crate::config::AUTO_PAR_NNZ);
+        let scales = [1.0, 1.0 + 2f64.powi(-9), 1.0 + 2f64.powi(-20), 1.0 + 1e-13];
+        for r in 0..big.nrows {
+            for k in big.rowptr[r]..big.rowptr[r + 1] {
+                big.vals[k] *= scales[(r / 16) % scales.len()];
+            }
+        }
+        let tiles = |host_parallelism| {
+            let cfg = SolverConfig {
+                host_parallelism,
+                ..SolverConfig::default()
+            };
+            crate::MilleFeuille::new(DeviceSpec::a100(), cfg)
+                .preprocess(&big)
+                .tiled
+        };
+        let want = tiles(HostParallelism::Serial);
+        let classes = want
+            .tile_precision_histogram()
+            .iter()
+            .filter(|&&c| c > 0)
+            .count();
+        assert!(classes >= 3, "want mixed tile precisions, got {classes}");
+        for t in [2usize, 4] {
+            let got = tiles(HostParallelism::Threads(t));
+            assert_eq!(got.tile_prec, want.tile_prec, "threads={t}");
+            assert_eq!(got.tile_rowidx, want.tile_rowidx, "threads={t}");
+            assert_eq!(got.tile_colidx, want.tile_colidx, "threads={t}");
+            assert_eq!(got.tile_nnz, want.tile_nnz, "threads={t}");
+            assert_eq!(got.nonrow, want.nonrow, "threads={t}");
+            assert_eq!(got.csr_rowptr, want.csr_rowptr, "threads={t}");
+            assert_eq!(got.row_index, want.row_index, "threads={t}");
+            assert_eq!(got.csr_colidx, want.csr_colidx, "threads={t}");
+            assert_eq!(got.vals_raw(), want.vals_raw(), "threads={t}");
+            assert_eq!(got.val_offsets, want.val_offsets, "threads={t}");
+        }
     }
 
     #[test]

@@ -62,7 +62,6 @@ pub mod report;
 pub mod sharded;
 pub mod solver;
 pub mod threaded;
-pub mod ticketed;
 pub mod workspace;
 
 pub use block::{
@@ -91,15 +90,9 @@ pub use threaded::{
     run_ilu_sptrsv_threaded_full, run_ilu_sptrsv_threaded_traced, run_ilu_sptrsv_threaded_watchdog,
     run_pbicgstab_threaded, run_pbicgstab_threaded_full, run_pbicgstab_threaded_traced,
     run_pbicgstab_threaded_watchdog, run_pcg_pipelined_threaded, run_pcg_pipelined_threaded_full,
-    run_pcg_pipelined_threaded_traced, run_pcg_pipelined_threaded_watchdog, run_pcg_threaded,
-    run_pcg_threaded_full, run_pcg_threaded_traced, run_pcg_threaded_watchdog, ThreadedReport,
-    BICGSTAB_STEPS, CG_PIPELINED_STEPS, CG_STEPS, PBICGSTAB_STEPS, PCG_PIPELINED_STEPS, PCG_STEPS,
-    SPTRSV_STEPS,
-};
-pub use ticketed::{
-    build_tiled_ticketed, fused_unit_specs, ic0_boosted_ticketed, ilu0_boosted_ticketed,
-    preprocess_fused_ticketed, preprocess_tiled_ilu0_ticketed, FactorKind, PreResult, PreUnit,
-    TicketedOptions, TicketedOutcome,
+    run_pcg_pipelined_threaded_traced, run_pcg_threaded, run_pcg_threaded_full,
+    run_pcg_threaded_traced, run_pcg_threaded_watchdog, ThreadedReport, BICGSTAB_STEPS,
+    CG_PIPELINED_STEPS, CG_STEPS, PBICGSTAB_STEPS, PCG_PIPELINED_STEPS, PCG_STEPS, SPTRSV_STEPS,
 };
 pub use workspace::SolverWorkspace;
 // The fault-injection vocabulary lives in `mf_gpu::faults`; re-export the

@@ -8,12 +8,10 @@ use crate::partial::PartialState;
 use crate::pipelined::{run_cg_pipelined_ws, run_pcg_pipelined_ws};
 use crate::precond::{run_pbicgstab, run_pcg, run_pcg_bj, run_pcg_ic};
 use crate::report::{ExecutedMode, SolveReport};
-use crate::ticketed::{preprocess_tiled_ilu0_ticketed, TicketedOptions};
 use crate::workspace::SolverWorkspace;
 use mf_gpu::{CostModel, DeviceSpec, Phase, ShmemPlan, Timeline};
-use mf_kernels::{blas1, ilu0_boosted, FactorError, Ic0, Ilu0, SharedTiles};
+use mf_kernels::{blas1, ilu0_boosted, Ic0, Ilu0, SharedTiles};
 use mf_sparse::{Csr, TiledMatrix};
-use mf_trace::Trace;
 
 /// The Mille-feuille solver: tile-grained mixed precision + single-kernel
 /// execution + partial-convergence-aware dynamic lowering.
@@ -77,10 +75,6 @@ pub struct Preprocessed {
     pub timeline: Timeline,
     /// Host wall-clock of the conversion in this simulation, µs.
     pub wall_us: f64,
-    /// Merged `Ticket`-event trace of the ticketed preprocessing flow,
-    /// when `SolverConfig::trace` is enabled and the host-parallelism
-    /// policy routed through it (`None` on the serial paths).
-    pub trace: Option<Trace>,
 }
 
 impl MilleFeuille {
@@ -101,58 +95,26 @@ impl MilleFeuille {
     /// Converts a CSR matrix into the tiled format, charging the modeled
     /// preprocessing cost (format conversion + task distribution + initial
     /// precision assignment — the three components §IV-H lists).
+    ///
+    /// Classification dominates conversion time, so when
+    /// [`SolverConfig::host_parallelism`] resolves to more than one thread
+    /// the mixed-precision build classifies tiles in parallel
+    /// ([`TiledMatrix::from_csr_par`]); the result is bit-identical to the
+    /// serial [`TiledMatrix::from_csr_with`].
     pub fn preprocess(&self, a: &Csr) -> Preprocessed {
         let start = std::time::Instant::now();
-        let mut trace = None;
+        let (ts, copts) = (self.config.tile_size, &self.config.classify);
         let tiled = if let Some(p) = self.config.uniform_precision {
-            TiledMatrix::from_csr_uniform(a, self.config.tile_size, p)
-        } else if self.config.mixed_precision {
-            // Classification dominates conversion time; the ticketed build
-            // is bit-identical to the serial one at every worker count, so
-            // route through it whenever the host-parallelism policy
-            // resolves to >1 thread.
-            let workers = self.config.host_parallelism.threads_for(a.nnz());
-            if workers > 1 {
-                let topts = self.ticketed_options(workers);
-                let (tiled, outcome) = crate::ticketed::build_tiled_ticketed(
-                    a,
-                    self.config.tile_size,
-                    &self.config.classify,
-                    &topts,
-                );
-                trace = outcome.trace;
-                tiled
-            } else {
-                TiledMatrix::from_csr_with(a, self.config.tile_size, &self.config.classify)
-            }
+            TiledMatrix::from_csr_uniform(a, ts, p)
+        } else if !self.config.mixed_precision {
+            TiledMatrix::from_csr_uniform(a, ts, mf_precision::Precision::Fp64)
+        } else if self.config.host_parallelism.threads_for(a.nnz()) > 1 {
+            TiledMatrix::from_csr_par(a, ts, copts)
         } else {
-            TiledMatrix::from_csr_uniform(a, self.config.tile_size, mf_precision::Precision::Fp64)
+            TiledMatrix::from_csr_with(a, ts, copts)
         };
         let wall_us = start.elapsed().as_secs_f64() * 1e6;
-        self.charge_preprocess(a, tiled, wall_us, trace)
-    }
 
-    /// Ticketed-runtime knobs derived from the solver configuration.
-    fn ticketed_options(&self, workers: usize) -> TicketedOptions<'static> {
-        TicketedOptions {
-            workers,
-            faults: None,
-            trace: self.config.trace,
-        }
-    }
-
-    /// Prices a finished conversion and packages the [`Preprocessed`]:
-    /// the modeled cost covers format conversion + task distribution +
-    /// initial precision assignment (the three §IV-H components) and is
-    /// identical for every host-side build strategy — the ticketed flow
-    /// changes host wall-clock, not modeled device work.
-    fn charge_preprocess(
-        &self,
-        a: &Csr,
-        tiled: TiledMatrix,
-        wall_us: f64,
-        trace: Option<Trace>,
-    ) -> Preprocessed {
         let cost = self.cost();
         let mut tl = Timeline::new();
         let nnz = a.nnz() as f64;
@@ -171,38 +133,7 @@ impl MilleFeuille {
             tiled,
             timeline: tl,
             wall_us,
-            trace,
         }
-    }
-
-    /// Preprocessing fused with the ILU(0) factorization the PCG cold
-    /// path needs: when the host-parallelism policy resolves to more than
-    /// one thread (and the build is mixed-precision), tile
-    /// classification and factorization rows share one ticket stream
-    /// ([`crate::ticketed::preprocess_fused_ticketed`]); otherwise the
-    /// serial `preprocess` + [`mf_kernels::ilu0_boosted`] pair runs.
-    /// Both produce bitwise-identical tiles, factors and shift
-    /// schedules.
-    #[allow(clippy::type_complexity)]
-    pub fn preprocess_with_ilu0(
-        &self,
-        a: &Csr,
-    ) -> (Preprocessed, Result<(Ilu0, Vec<f64>), FactorError>) {
-        let workers = self.config.host_parallelism.threads_for(a.nnz());
-        let fused_eligible =
-            workers > 1 && self.config.mixed_precision && self.config.uniform_precision.is_none();
-        if !fused_eligible {
-            return (self.preprocess(a), ilu0_boosted(a));
-        }
-        let start = std::time::Instant::now();
-        let topts = self.ticketed_options(workers);
-        let (tiled, factors, outcome) =
-            preprocess_tiled_ilu0_ticketed(a, self.config.tile_size, &self.config.classify, &topts);
-        let wall_us = start.elapsed().as_secs_f64() * 1e6;
-        (
-            self.charge_preprocess(a, tiled, wall_us, outcome.trace),
-            factors,
-        )
     }
 
     /// The §III-C mode decision for a preprocessed matrix.

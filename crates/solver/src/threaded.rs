@@ -3543,29 +3543,6 @@ pub fn run_pcg_pipelined_threaded(
     )
 }
 
-/// Legacy wall-clock adapter; see [`run_pcg_pipelined_threaded_full`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_pcg_pipelined_threaded_watchdog(
-    m: &TiledMatrix,
-    ilu: &Ilu0,
-    b: &[f64],
-    tol: f64,
-    max_iter: usize,
-    max_warps: usize,
-    watchdog: Option<Duration>,
-) -> ThreadedReport {
-    run_pcg_pipelined_threaded_full(
-        m,
-        ilu,
-        b,
-        tol,
-        max_iter,
-        max_warps,
-        WatchdogPolicy::from_wallclock(watchdog),
-        &FaultPlan::default(),
-    )
-}
-
 /// Runs Ghysels–Vanroose pipelined PCG inside the single kernel with TWO
 /// global barriers per iteration (the classic engine passes four): one
 /// publishes `m = M⁻¹w` for the SpMV, one publishes the fused dot partials.

@@ -33,9 +33,7 @@ pub use coo::Coo;
 pub use csr::Csr;
 pub use dense::Dense;
 pub use fingerprint::Fingerprint;
-pub use tiled::{
-    TileAssembler, TileBuildPlan, TileView, TiledMatrix, TiledMemory, DEFAULT_TILE_SIZE,
-};
+pub use tiled::{TileView, TiledMatrix, TiledMemory, DEFAULT_TILE_SIZE};
 pub use tiled_io::{read_tiled, read_tiled_file, write_tiled, write_tiled_file};
 
 /// Errors produced by this crate.

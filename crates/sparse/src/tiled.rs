@@ -135,6 +135,7 @@ impl TiledMatrix {
         Self::build_impl(a, tile_size, opts, force_prec, false)
     }
 
+    #[allow(clippy::needless_range_loop)] // k walks parallel arrays (keys, row_of, colidx)
     fn build_impl(
         a: &Csr,
         tile_size: usize,
@@ -142,34 +143,144 @@ impl TiledMatrix {
         force_prec: Option<Precision>,
         parallel: bool,
     ) -> TiledMatrix {
-        let plan = TileBuildPlan::new(a, tile_size);
+        assert!(
+            (2..=256).contains(&tile_size),
+            "tile size must be in 2..=256 (within-tile indices are u8)"
+        );
+        let tile_rows = a.nrows.div_ceil(tile_size);
+        let tile_cols = a.ncols.div_ceil(tile_size);
+
+        // Gather entries keyed by (tile_row, tile_col, row_in, col_in). CSR
+        // iteration already yields (row, col-sorted) order, so sorting by the
+        // composite key is a cheap near-sorted pass.
+        let nnz = a.nnz();
+        let mut order: Vec<u32> = (0..nnz as u32).collect();
+        let mut keys: Vec<u64> = Vec::with_capacity(nnz);
+        {
+            // Precompute the key of every entry: tile id major, in-tile minor.
+            let mut row_of = vec![0u32; nnz];
+            for r in 0..a.nrows {
+                for k in a.rowptr[r]..a.rowptr[r + 1] {
+                    row_of[k] = r as u32;
+                }
+            }
+            for k in 0..nnz {
+                let r = row_of[k] as usize;
+                let c = a.colidx[k];
+                let key = (((r / tile_size) * tile_cols + c / tile_size) as u64) << 16
+                    | ((r % tile_size) as u64) << 8
+                    | (c % tile_size) as u64;
+                keys.push(key);
+            }
+        }
+        order.sort_unstable_by_key(|&i| keys[i as usize]);
+
+        // Tile spans in the sorted order (start, end). Tiles are the unit of
+        // both classification and packing.
+        let mut spans: Vec<(u32, u32)> = Vec::new();
+        {
+            let mut i = 0usize;
+            while i < nnz {
+                let tile_key = keys[order[i] as usize] >> 16;
+                let start = i;
+                while i < nnz && keys[order[i] as usize] >> 16 == tile_key {
+                    i += 1;
+                }
+                spans.push((start as u32, i as u32));
+            }
+        }
 
         // Per-tile precision. Classification reads every value several times
         // (round-trip tests per candidate precision) and tiles are
         // independent, so the parallel build farms it out; results are
         // joined in tile order, making the output identical to the serial
-        // pass. (The ticketed pipeline in `mf-solver` runs the same
-        // `classify_tile` per ticket and commits through the same
-        // `TileAssembler`, so it is bitwise-identical by construction.)
-        let classify_t = |t: usize| -> Precision {
+        // pass.
+        let classify_span = |&(s, e): &(u32, u32)| -> Precision {
             match force_prec {
                 Some(p) => p,
-                None => plan.classify_tile(a, t, opts),
+                None => {
+                    let vals: Vec<f64> = order[s as usize..e as usize]
+                        .iter()
+                        .map(|&oi| a.vals[oi as usize])
+                        .collect();
+                    classify_group(&vals, opts)
+                }
             }
         };
         let precs: Vec<Precision> = if parallel && force_prec.is_none() {
             use rayon::prelude::*;
-            let tiles: Vec<usize> = (0..plan.tile_count()).collect();
-            tiles.into_par_iter().map(classify_t).collect()
+            spans.par_iter().map(classify_span).collect()
         } else {
-            (0..plan.tile_count()).map(classify_t).collect()
+            spans.iter().map(classify_span).collect()
         };
 
-        let mut asm = TileAssembler::new(a, &plan);
-        for (t, &prec) in precs.iter().enumerate() {
-            asm.push_tile(t, prec);
+        let mut tile_rowidx = Vec::new();
+        let mut tile_colidx = Vec::new();
+        let mut tile_prec = Vec::new();
+        let mut tile_nnz = vec![0u32];
+        let mut nonrow = vec![0u32];
+        let mut csr_rowptr: Vec<u32> = Vec::new(); // row starts; nnz appended at the end
+        let mut row_index: Vec<u8> = Vec::new();
+        let mut csr_colidx: Vec<u8> = Vec::with_capacity(nnz);
+        let mut packed = PackedValuesBuilder::new();
+        let mut val_offsets = Vec::new();
+
+        let mut tile_vals: Vec<f64> = Vec::new();
+        for (t, &(s, e)) in spans.iter().enumerate() {
+            let (start, i) = (s as usize, e as usize);
+            let tile_key = keys[order[start] as usize] >> 16;
+            let trow = (tile_key as usize) / tile_cols;
+            let tcol = (tile_key as usize) % tile_cols;
+
+            // Gather this tile's values for packing.
+            tile_vals.clear();
+            tile_vals.extend(order[start..i].iter().map(|&oi| a.vals[oi as usize]));
+            let prec = precs[t];
+
+            tile_rowidx.push(trow as u32);
+            tile_colidx.push(tcol as u32);
+            tile_prec.push(prec);
+            tile_nnz.push(tile_nnz.last().unwrap() + tile_vals.len() as u32);
+            val_offsets.push(packed.push_run(&tile_vals, prec));
+
+            // Intra-tile CSR over non-empty rows.
+            let mut prev_row: Option<u8> = None;
+            for (j, &oi) in order[start..i].iter().enumerate() {
+                let key = keys[oi as usize];
+                let rin = ((key >> 8) & 0xff) as u8;
+                let cin = (key & 0xff) as u8;
+                if prev_row != Some(rin) {
+                    row_index.push(rin);
+                    csr_rowptr.push((tile_nnz[tile_nnz.len() - 2] as usize + j) as u32);
+                    prev_row = Some(rin);
+                }
+                csr_colidx.push(cin);
+            }
+            nonrow.push(row_index.len() as u32);
         }
-        asm.finish()
+        // csr_rowptr holds the absolute start of every non-empty row; rows
+        // are packed contiguously in the global (tile, row, col) order, so
+        // each row's end is the next row's start, and the total nnz closes
+        // the array.
+        csr_rowptr.push(nnz as u32);
+
+        TiledMatrix {
+            nrows: a.nrows,
+            ncols: a.ncols,
+            tile_size,
+            tile_rows,
+            tile_cols,
+            tile_rowidx,
+            tile_colidx,
+            tile_prec,
+            tile_nnz,
+            nonrow,
+            csr_rowptr,
+            row_index,
+            csr_colidx,
+            vals: packed.finish(),
+            val_offsets,
+        }
     }
 
     /// Raw packed value bytes (serialization support).
@@ -364,254 +475,6 @@ impl TiledMatrix {
                 + nr               // row_index
                 + self.nnz(), // csr_colidx (u8)
             values: self.vals.len_bytes(),
-        }
-    }
-}
-
-/// The deterministic prologue of the tiled build: every nonzero keyed by
-/// `(tile id, row-in-tile, col-in-tile)`, the stable sort order over those
-/// keys, and the contiguous per-tile spans of that order.
-///
-/// A plan is a pure function of `(matrix, tile_size)` — no precisions, no
-/// packing. It splits the build into three stages so the serial, rayon,
-/// and ticketed pipelines can share one implementation:
-///
-/// 1. `TileBuildPlan::new` — the prologue (this type);
-/// 2. [`classify_tile`](Self::classify_tile) per tile, in any order /
-///    on any thread (pure);
-/// 3. [`TileAssembler`] — strictly in-order assembly, one
-///    [`push_tile`](TileAssembler::push_tile) per tile (the packed value
-///    buffer appends runs, so commits must follow tile order).
-#[derive(Clone, Debug)]
-pub struct TileBuildPlan {
-    /// Tile edge length.
-    pub tile_size: usize,
-    tile_rows: usize,
-    tile_cols: usize,
-    /// Composite key of every nonzero: tile id major, in-tile minor.
-    keys: Vec<u64>,
-    /// Nonzero indices sorted by key.
-    order: Vec<u32>,
-    /// Per-tile `(start, end)` spans of `order`.
-    spans: Vec<(u32, u32)>,
-}
-
-impl TileBuildPlan {
-    /// Computes the prologue for `a` at `tile_size`.
-    #[allow(clippy::needless_range_loop)] // k walks parallel arrays (keys, row_of, colidx)
-    pub fn new(a: &Csr, tile_size: usize) -> TileBuildPlan {
-        assert!(
-            (2..=256).contains(&tile_size),
-            "tile size must be in 2..=256 (within-tile indices are u8)"
-        );
-        let tile_rows = a.nrows.div_ceil(tile_size);
-        let tile_cols = a.ncols.div_ceil(tile_size);
-
-        // Gather entries keyed by (tile_row, tile_col, row_in, col_in). CSR
-        // iteration already yields (row, col-sorted) order, so sorting by the
-        // composite key is a cheap near-sorted pass.
-        let nnz = a.nnz();
-        let mut order: Vec<u32> = (0..nnz as u32).collect();
-        let mut keys: Vec<u64> = Vec::with_capacity(nnz);
-        {
-            // Precompute the key of every entry: tile id major, in-tile minor.
-            let mut row_of = vec![0u32; nnz];
-            for r in 0..a.nrows {
-                for k in a.rowptr[r]..a.rowptr[r + 1] {
-                    row_of[k] = r as u32;
-                }
-            }
-            for k in 0..nnz {
-                let r = row_of[k] as usize;
-                let c = a.colidx[k];
-                let key = (((r / tile_size) * tile_cols + c / tile_size) as u64) << 16
-                    | ((r % tile_size) as u64) << 8
-                    | (c % tile_size) as u64;
-                keys.push(key);
-            }
-        }
-        order.sort_unstable_by_key(|&i| keys[i as usize]);
-
-        // Tile spans in the sorted order (start, end). Tiles are the unit of
-        // both classification and packing.
-        let mut spans: Vec<(u32, u32)> = Vec::new();
-        {
-            let mut i = 0usize;
-            while i < nnz {
-                let tile_key = keys[order[i] as usize] >> 16;
-                let start = i;
-                while i < nnz && keys[order[i] as usize] >> 16 == tile_key {
-                    i += 1;
-                }
-                spans.push((start as u32, i as u32));
-            }
-        }
-
-        TileBuildPlan {
-            tile_size,
-            tile_rows,
-            tile_cols,
-            keys,
-            order,
-            spans,
-        }
-    }
-
-    /// Number of non-empty tiles the build will produce.
-    #[inline]
-    pub fn tile_count(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Nonzeros in tile `t` — the cost-model input for per-tile work units.
-    #[inline]
-    pub fn tile_nnz_of(&self, t: usize) -> usize {
-        let (s, e) = self.spans[t];
-        (e - s) as usize
-    }
-
-    /// Classifies tile `t`'s storage precision. Pure in `(plan, a, t,
-    /// opts)`: safe to run on any thread, in any order.
-    pub fn classify_tile(&self, a: &Csr, t: usize, opts: &ClassifyOptions) -> Precision {
-        let (s, e) = self.spans[t];
-        let vals: Vec<f64> = self.order[s as usize..e as usize]
-            .iter()
-            .map(|&oi| a.vals[oi as usize])
-            .collect();
-        classify_group(&vals, opts)
-    }
-}
-
-/// Strictly in-order assembly of a [`TiledMatrix`] from a
-/// [`TileBuildPlan`] plus one classified precision per tile.
-///
-/// The packed value buffer appends one run per tile, so
-/// [`push_tile`](Self::push_tile) must be called exactly once per tile in
-/// tile order — this is the ticketed pipeline's *commit* operation.
-pub struct TileAssembler<'a> {
-    a: &'a Csr,
-    plan: &'a TileBuildPlan,
-    next: usize,
-    tile_rowidx: Vec<u32>,
-    tile_colidx: Vec<u32>,
-    tile_prec: Vec<Precision>,
-    tile_nnz: Vec<u32>,
-    nonrow: Vec<u32>,
-    csr_rowptr: Vec<u32>, // row starts; nnz appended at the end
-    row_index: Vec<u8>,
-    csr_colidx: Vec<u8>,
-    packed: PackedValuesBuilder,
-    val_offsets: Vec<usize>,
-    tile_vals: Vec<f64>,
-}
-
-impl<'a> TileAssembler<'a> {
-    /// Starts assembly for the matrix the plan was computed from.
-    pub fn new(a: &'a Csr, plan: &'a TileBuildPlan) -> TileAssembler<'a> {
-        TileAssembler {
-            a,
-            plan,
-            next: 0,
-            tile_rowidx: Vec::new(),
-            tile_colidx: Vec::new(),
-            tile_prec: Vec::new(),
-            tile_nnz: vec![0u32],
-            nonrow: vec![0u32],
-            csr_rowptr: Vec::new(),
-            row_index: Vec::new(),
-            csr_colidx: Vec::with_capacity(plan.keys.len()),
-            packed: PackedValuesBuilder::new(),
-            val_offsets: Vec::new(),
-            tile_vals: Vec::new(),
-        }
-    }
-
-    /// Index of the next tile [`push_tile`](Self::push_tile) accepts.
-    #[inline]
-    pub fn next_tile(&self) -> usize {
-        self.next
-    }
-
-    /// Appends tile `t` at precision `prec`. Panics unless `t` is the next
-    /// tile in plan order.
-    pub fn push_tile(&mut self, t: usize, prec: Precision) {
-        assert_eq!(
-            t, self.next,
-            "TileAssembler is strictly in-order: got tile {t}, expected {}",
-            self.next
-        );
-        self.next += 1;
-        let plan = self.plan;
-        let (s, e) = plan.spans[t];
-        let (start, i) = (s as usize, e as usize);
-        let tile_key = plan.keys[plan.order[start] as usize] >> 16;
-        let trow = (tile_key as usize) / plan.tile_cols;
-        let tcol = (tile_key as usize) % plan.tile_cols;
-
-        // Gather this tile's values for packing.
-        self.tile_vals.clear();
-        self.tile_vals.extend(
-            plan.order[start..i]
-                .iter()
-                .map(|&oi| self.a.vals[oi as usize]),
-        );
-
-        self.tile_rowidx.push(trow as u32);
-        self.tile_colidx.push(tcol as u32);
-        self.tile_prec.push(prec);
-        self.tile_nnz
-            .push(self.tile_nnz.last().unwrap() + self.tile_vals.len() as u32);
-        self.val_offsets
-            .push(self.packed.push_run(&self.tile_vals, prec));
-
-        // Intra-tile CSR over non-empty rows.
-        let mut prev_row: Option<u8> = None;
-        for (j, &oi) in plan.order[start..i].iter().enumerate() {
-            let key = plan.keys[oi as usize];
-            let rin = ((key >> 8) & 0xff) as u8;
-            let cin = (key & 0xff) as u8;
-            if prev_row != Some(rin) {
-                self.row_index.push(rin);
-                self.csr_rowptr
-                    .push((self.tile_nnz[self.tile_nnz.len() - 2] as usize + j) as u32);
-                prev_row = Some(rin);
-            }
-            self.csr_colidx.push(cin);
-        }
-        self.nonrow.push(self.row_index.len() as u32);
-    }
-
-    /// Finalizes the matrix. Panics unless every tile was pushed.
-    pub fn finish(mut self) -> TiledMatrix {
-        assert_eq!(
-            self.next,
-            self.plan.tile_count(),
-            "TileAssembler finished early: {} of {} tiles pushed",
-            self.next,
-            self.plan.tile_count()
-        );
-        // csr_rowptr holds the absolute start of every non-empty row; rows
-        // are packed contiguously in the global (tile, row, col) order, so
-        // each row's end is the next row's start, and the total nnz closes
-        // the array.
-        self.csr_rowptr.push(self.plan.keys.len() as u32);
-
-        TiledMatrix {
-            nrows: self.a.nrows,
-            ncols: self.a.ncols,
-            tile_size: self.plan.tile_size,
-            tile_rows: self.plan.tile_rows,
-            tile_cols: self.plan.tile_cols,
-            tile_rowidx: self.tile_rowidx,
-            tile_colidx: self.tile_colidx,
-            tile_prec: self.tile_prec,
-            tile_nnz: self.tile_nnz,
-            nonrow: self.nonrow,
-            csr_rowptr: self.csr_rowptr,
-            row_index: self.row_index,
-            csr_colidx: self.csr_colidx,
-            vals: self.packed.finish(),
-            val_offsets: self.val_offsets,
         }
     }
 }

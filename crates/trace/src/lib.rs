@@ -103,7 +103,6 @@ impl TraceConfig {
 /// | `CacheEvict` | fingerprint low 64 bits | bytes freed | yes* |
 /// | `Retier` | packed (cap code << 32 \| actions) | iteration decided | yes |
 /// | `Halo` | bytes exchanged | packed (peer shard << 32 \| messages) | yes |
-/// | `Ticket` | packed (stream code << 32 \| unit index) | packed (worker+1 << 1 \| fallback) | **no** |
 ///
 /// (*) Cache events are deterministic for a fixed *request order*; a
 /// concurrent serving front-end interleaves requests nondeterministically,
@@ -130,19 +129,12 @@ pub enum EventKind {
     /// for an iteration step. Appended last so [`TraceSummary::counts`]
     /// indices from earlier releases stay valid.
     Halo = 14,
-    /// Ticketed-preprocessing commit: one event per committed ticket, in
-    /// commit order. `a` packs (stream code << 32 | unit index) — both
-    /// deterministic; `b` packs which worker produced the result and
-    /// whether the committer fell back to a serial recompute — both
-    /// schedule-dependent, zeroed in canonical serializations. Appended
-    /// last (see [`EventKind::Halo`]).
-    Ticket = 15,
 }
 
 impl EventKind {
     /// Every kind, in discriminant order — [`TraceSummary::counts`] is
     /// indexed by this order.
-    pub const ALL: [EventKind; 16] = [
+    pub const ALL: [EventKind; 15] = [
         EventKind::IterStart,
         EventKind::IterEnd,
         EventKind::BarrierEnter,
@@ -158,7 +150,6 @@ impl EventKind {
         EventKind::CacheEvict,
         EventKind::Retier,
         EventKind::Halo,
-        EventKind::Ticket,
     ];
 
     /// Stable snake_case label used in every export format.
@@ -179,7 +170,6 @@ impl EventKind {
             EventKind::CacheEvict => "cache_evict",
             EventKind::Retier => "retier",
             EventKind::Halo => "halo",
-            EventKind::Ticket => "ticket",
         }
     }
 
@@ -187,10 +177,7 @@ impl EventKind {
     /// Canonical serializations zero exactly these payloads; everything
     /// else in the stream is deterministic by engine construction.
     pub fn payload_is_schedule_dependent(self) -> bool {
-        matches!(
-            self,
-            EventKind::BarrierExit | EventKind::RowWait | EventKind::Ticket
-        )
+        matches!(self, EventKind::BarrierExit | EventKind::RowWait)
     }
 }
 

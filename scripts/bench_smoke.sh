@@ -19,11 +19,7 @@
 # (bench_out/fig_shard.csv + BENCH_shard.json; *fails* when any shard
 # count changes a single bit of any solve versus the single-device
 # engine, or when 4-way sharding keeps more than 0.35 of the largest grid
-# matrix's packed payload on one device), and the ticketed-preprocessing
-# bench (bench_out/fig_ticket.csv + BENCH_ticket.json; *fails* when any
-# worker count changes a bit of the tiles or ILU(0) factors versus the
-# phase-barrier reference, or when the fused ticketed schedule's modeled
-# makespan exceeds the phase-barrier pipeline's on any row).
+# matrix's packed payload on one device).
 #
 # After the fresh run, the **gate-regression guard** diffs every committed
 # BENCH_*.json baseline against its freshly generated counterpart with
@@ -34,7 +30,7 @@
 # MF_SKIP_GATE_GUARD=1 to skip the guard (e.g. when intentionally
 # regenerating baselines).
 #
-# Knobs (see crates/bench/src/bin/{spmv_scaling,fig_trace_timeline,fig_pipeline,fig_serve,fig_adaptive,fig_shard,fig_ticket}.rs):
+# Knobs (see crates/bench/src/bin/{spmv_scaling,fig_trace_timeline,fig_pipeline,fig_serve,fig_adaptive,fig_shard}.rs):
 #   MF_SPMV_GRID      Poisson grid side (default 320 -> 102,400 rows)
 #   MF_SPMV_REPS      timed reps per thread count (default 20)
 #   MF_SPMV_THREADS   comma list of thread counts (default 1,2,4,8)
@@ -61,8 +57,6 @@
 #   MF_SHARD_MAXITER  iteration cap of the sharding bench (default 2000)
 #   MF_SHARD_WARPS    warp cap of both engines in the sharding bench (default 4)
 #   MF_SHARD_SPLIT_GATE  max per-device payload fraction at 4 shards (default 0.35)
-#   MF_TICKET_GRID    Poisson grid side of the ticketed bench (default 64)
-#   MF_TICKET_TILE    tile size of the ticketed bench (default 16)
 #   MF_SKIP_GATE_GUARD  1 = skip the committed-baseline gate-flip guard
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -79,14 +73,13 @@ fi
 # works on a clean checkout.
 cargo build --release --locked --offline -p mf-bench \
     --bin spmv_scaling --bin fig_trace_timeline --bin fig_pipeline --bin fig_serve \
-    --bin fig_adaptive --bin fig_shard --bin fig_ticket --bin gate_diff
+    --bin fig_adaptive --bin fig_shard --bin gate_diff
 ./target/release/spmv_scaling
 ./target/release/fig_trace_timeline --trace-dir bench_out/traces
 ./target/release/fig_pipeline
 ./target/release/fig_serve
 ./target/release/fig_adaptive
 ./target/release/fig_shard
-./target/release/fig_ticket
 
 # Gate-regression guard: committed baseline vs fresh, boolean gate fields
 # only. gate_diff names the offending field (and writes it to the job

@@ -39,8 +39,6 @@ MF_PACKAGES=(
 #   repro        how to replay a failure:
 #                  faultplan    assertion embeds a compilable
 #                               FaultPlan::seeded(..) builder line
-#                  ticketfaults assertion embeds a compilable
-#                               TicketFaults::seeded(..) builder line
 #                  rerun        fixtures/generators are seed-deterministic
 #                               (test-name seeded); a plain rerun replays
 #
@@ -56,9 +54,7 @@ TIERS=(
     "serve|mf-serve||300||rerun"
     "adaptive_parity|mille-feuille|adaptive_parity|300||faultplan"
     "sharded_parity|mille-feuille|sharded_parity|420||faultplan"
-    "ticketed_parity|mille-feuille|ticketed_parity|300||ticketfaults"
     "prop_partition|mf-gpu|prop_partition|300||rerun"
-    "prop_ticket|mf-gpu|prop_ticket|300||rerun"
     "prop_retier|mf-precision|prop_retier|300||rerun"
     "prop_kernels|mf-kernels|prop_kernels|300||rerun"
 )
@@ -82,7 +78,6 @@ emit_repro_hint() {
     local pattern="" lines=""
     case "$repro" in
         faultplan) pattern='FaultPlan::seeded' ;;
-        ticketfaults) pattern='TicketFaults::seeded' ;;
     esac
     if [[ -n "$pattern" && -f "$log" ]]; then
         lines="$(grep -h "$pattern" "$log" || true)"
